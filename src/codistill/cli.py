@@ -1,6 +1,6 @@
 """Command-line interface: gen, train, eval, ablate, sweep.
 
-Exit codes: 0 success, 2 usage or configuration problem, 3 numeric
+Exit codes: 0 success, 2 usage, configuration or input problem, 3 numeric
 failure during training. Every command's outputs are reproducible from
 its arguments and seed.
 """
@@ -10,56 +10,21 @@ from __future__ import annotations
 import argparse
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from . import __version__
 from .data import SynthSpec, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, DataError, MetricError, TrainingError
 from .students import ArchConfig
-from .trainer import (
-    AdamWConfig,
-    SGDConfig,
-    TrainConfig,
-    evaluate,
-    load_checkpoint,
-    run_training,
-)
+from .trainer import TrainConfig, evaluate, load_checkpoint, run_training
 
-# config file / manifest keys ------------------------------------------
-
-_TRAIN_KEYS = {
-    "alpha": float,
-    "beta": float,
-    "gamma": float,
-    "steps": int,
-    "batch_size": int,
-    "seed": int,
-    "hfd_on": None,  # bool, parsed specially
-    "region_bsd_on": None,
-    "pixel_bsd_on": None,
-    "eval_every": int,
-    "checkpoint_every": int,
-    "sgd_lr": float,
-    "sgd_momentum": float,
-    "sgd_weight_decay": float,
-    "adamw_lr": float,
-    "adamw_beta1": float,
-    "adamw_beta2": float,
-    "adamw_eps": float,
-    "adamw_weight_decay": float,
-}
-
-_ARCH_KEYS = {
-    "input_size": int,
-    "num_classes": int,
-    "cnn_channels": "ints",
-    "vit_dims": "ints",
-    "patch_size": int,
-    "num_heads": int,
-    "ffn_ratio": int,
-}
-
+# config keys -------------------------------------------------------------
+#
+# Keys are the field names of TrainConfig and ArchConfig; nested optimizer
+# configs flatten under their field's prefix (sgd_lr, adamw_eps, ...). Each
+# key parses as the type of its default. input_hw is not a key: the
+# training data decides it.
 
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
@@ -70,98 +35,66 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
+def _parse_ints(raw: str) -> tuple:
+    return tuple(int(v) for v in raw.split(","))
+
+
+def _flatten(cfg, prefix=""):
+    """(key, value) pairs of a config dataclass, nested ones flattened."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            yield from _flatten(value, f"{prefix}{f.name}_")
+        elif f.name != "input_hw":
+            yield prefix + f.name, value
+
+
+def _build(cls, values, prefix="", **fixed):
+    """A config dataclass from flat key values; absent keys keep defaults."""
+    kwargs = dict(fixed)
+    for f in fields(cls):
+        key = prefix + f.name
+        if is_dataclass(f.default_factory):
+            kwargs[f.name] = _build(f.default_factory, values, f"{key}_")
+        elif key in values:
+            kwargs[f.name] = values[key]
+    return cls(**kwargs)
+
+
+_PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_ints}
+_KEYS = {key: _PARSERS[type(value)] for cfg in (TrainConfig(), ArchConfig()) for key, value in _flatten(cfg)}
+# keys that are also command-line flags; booleans become --x / --no-x
+_FLAG_KEYS = ("seed", "steps", "batch_size", "alpha", "beta", "gamma", "eval_every", "checkpoint_every", "sgd_lr", "adamw_lr", "hfd_on", "region_bsd_on", "pixel_bsd_on")
+
+
 def parse_config_file(path) -> dict:
     """Line-based `key = value` with # comments; unknown keys are errors."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key in _TRAIN_KEYS:
-            conv = _TRAIN_KEYS[key]
-            values[key] = _parse_bool(raw) if conv is None else conv(raw)
-        elif key in _ARCH_KEYS:
-            conv = _ARCH_KEYS[key]
-            values[key] = tuple(int(v) for v in raw.split(",")) if conv == "ints" else conv(raw)
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _KEYS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value {raw!r} for {key!r}") from exc
     return values
 
 
-def build_configs(values: dict) -> tuple:
-    """(ArchConfig, TrainConfig) from a flat key/value mapping."""
-    size = values.get("input_size", 32)
-    acfg = ArchConfig(
-        input_hw=(size, size),
-        num_classes=values.get("num_classes", 4),
-        cnn_channels=values.get("cnn_channels", (8, 16, 24)),
-        vit_dims=values.get("vit_dims", (16, 32, 48)),
-        patch_size=values.get("patch_size", 2),
-        num_heads=values.get("num_heads", 2),
-        ffn_ratio=values.get("ffn_ratio", 2),
-    )
-    sgd = SGDConfig(
-        lr=values.get("sgd_lr", SGDConfig.lr),
-        momentum=values.get("sgd_momentum", SGDConfig.momentum),
-        weight_decay=values.get("sgd_weight_decay", SGDConfig.weight_decay),
-    )
-    adamw = AdamWConfig(
-        lr=values.get("adamw_lr", AdamWConfig.lr),
-        beta1=values.get("adamw_beta1", AdamWConfig.beta1),
-        beta2=values.get("adamw_beta2", AdamWConfig.beta2),
-        eps=values.get("adamw_eps", AdamWConfig.eps),
-        weight_decay=values.get("adamw_weight_decay", AdamWConfig.weight_decay),
-    )
-    tcfg = TrainConfig(
-        alpha=values.get("alpha", 1.0),
-        beta=values.get("beta", 0.1),
-        gamma=values.get("gamma", 1.0),
-        steps=values.get("steps", 300),
-        batch_size=values.get("batch_size", 4),
-        seed=values.get("seed", 0),
-        sgd=sgd,
-        adamw=adamw,
-        hfd_on=values.get("hfd_on", True),
-        region_bsd_on=values.get("region_bsd_on", True),
-        pixel_bsd_on=values.get("pixel_bsd_on", True),
-        eval_every=values.get("eval_every", 50),
-        checkpoint_every=values.get("checkpoint_every", 100),
-    )
-    return acfg, tcfg
-
-
-def manifest_values(acfg: ArchConfig, tcfg: TrainConfig) -> dict:
-    return {
-        "alpha": tcfg.alpha,
-        "beta": tcfg.beta,
-        "gamma": tcfg.gamma,
-        "steps": tcfg.steps,
-        "batch_size": tcfg.batch_size,
-        "seed": tcfg.seed,
-        "sgd_lr": tcfg.sgd.lr,
-        "sgd_momentum": tcfg.sgd.momentum,
-        "sgd_weight_decay": tcfg.sgd.weight_decay,
-        "adamw_lr": tcfg.adamw.lr,
-        "adamw_beta1": tcfg.adamw.beta1,
-        "adamw_beta2": tcfg.adamw.beta2,
-        "adamw_eps": tcfg.adamw.eps,
-        "adamw_weight_decay": tcfg.adamw.weight_decay,
-        "hfd_on": tcfg.hfd_on,
-        "region_bsd_on": tcfg.region_bsd_on,
-        "pixel_bsd_on": tcfg.pixel_bsd_on,
-        "eval_every": tcfg.eval_every,
-        "checkpoint_every": tcfg.checkpoint_every,
-        "input_size": acfg.input_hw[0],
-        "num_classes": acfg.num_classes,
-        "cnn_channels": ",".join(str(c) for c in acfg.cnn_channels),
-        "vit_dims": ",".join(str(d) for d in acfg.vit_dims),
-        "patch_size": acfg.patch_size,
-        "num_heads": acfg.num_heads,
-        "ffn_ratio": acfg.ffn_ratio,
-    }
+def resolve_configs(args, input_hw) -> tuple:
+    """(ArchConfig, TrainConfig): defaults, then the --config file, then flags."""
+    values = parse_config_file(args.config) if args.config else {}
+    values.update({key: getattr(args, key) for key in _FLAG_KEYS if getattr(args, key) is not None})
+    return _build(ArchConfig, values, input_hw=input_hw), _build(TrainConfig, values)
 
 
 def build_tag() -> str:
@@ -180,12 +113,11 @@ def build_tag() -> str:
     return f"codistill-{__version__}"
 
 
-def write_manifest(path, acfg, tcfg, extra=None) -> None:
-    lines = [f"build_tag = {build_tag()}"]
-    for key, value in (extra or {}).items():
-        lines.append(f"{key} = {value}")
-    for key, value in manifest_values(acfg, tcfg).items():
-        lines.append(f"{key} = {value}")
+def write_manifest(path, acfg, tcfg, meta) -> None:
+    """The resolved configuration as a valid --config file; meta lines are comments."""
+    lines = [f"# {key} = {value}" for key, value in {"build_tag": build_tag(), **meta}.items()]
+    for key, value in (*_flatten(tcfg), *_flatten(acfg)):
+        lines.append(f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -206,35 +138,34 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _resolved_configs(args) -> tuple:
-    values = parse_config_file(args.config) if args.config else {}
-    for key in _TRAIN_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return build_configs(values)
+def _check_image_hw(dataset, where, hw) -> None:
+    sizes = {image.shape[1:] for image, _ in dataset}
+    if sizes != {hw}:
+        found = ", ".join(f"{h}x{w}" for h, w in sorted(sizes))
+        raise DataError(f"{where}: images are {found}, expected {hw[0]}x{hw[1]}")
 
 
-def _run_one_training(args, acfg, tcfg, out_dir):
+def _prepare(args) -> tuple:
+    """((train set, eval set or None), ArchConfig, TrainConfig) for a training command."""
     train_set = load_dataset(args.data)
+    hw = train_set[0][0].shape[1:]
+    _check_image_hw(train_set, args.data, hw)
     eval_set = load_dataset(args.eval_data) if args.eval_data else None
-    sample_hw = train_set[0][0].shape[1:]
-    if sample_hw != acfg.input_hw:
-        acfg = replace(acfg, input_hw=sample_hw)
-    return run_training(train_set, eval_set, acfg, tcfg, out_dir=out_dir), acfg
+    if eval_set is not None:
+        _check_image_hw(eval_set, args.eval_data, hw)
+    return (train_set, eval_set), *resolve_configs(args, hw)
+
+
+def _run_one_training(args, datasets, acfg, tcfg, out_dir):
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    meta = {"data": args.data, "eval_data": args.eval_data or args.data, "out": out_dir}
+    write_manifest(out_dir / "manifest.txt", acfg, tcfg, meta)
+    return run_training(*datasets, acfg, tcfg, out_dir=out_dir)
 
 
 def cmd_train(args) -> int:
-    acfg, tcfg = _resolved_configs(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_set = load_dataset(args.data)
-    sample_hw = train_set[0][0].shape[1:]
-    if sample_hw != acfg.input_hw:
-        acfg = replace(acfg, input_hw=sample_hw)
-    write_manifest(out_dir / "manifest.txt", acfg, tcfg, extra={"data": args.data, "eval_data": args.eval_data or args.data, "out": args.out})
-    eval_set = load_dataset(args.eval_data) if args.eval_data else None
-    result = run_training(train_set, eval_set, acfg, tcfg, out_dir=out_dir)
+    result = _run_one_training(args, *_prepare(args), args.out)
     print(f"final miou_c={result.miou_c:.9g} miou_v={result.miou_v:.9g}")
     return 0
 
@@ -245,6 +176,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"checkpoint not found: {ckpt}")
     acfg, params_c, params_v, _ = load_checkpoint(ckpt)
     dataset = load_dataset(args.data)
+    _check_image_hw(dataset, args.data, acfg.input_hw)
     miou_c, miou_v = evaluate(params_c, params_v, acfg, dataset)
     print(f"miou_c={miou_c:.9g} miou_v={miou_v:.9g}")
     return 0
@@ -254,14 +186,13 @@ _TOGGLE_GRID = [(h, r, p) for h in (False, True) for r in (False, True) for p in
 
 
 def cmd_ablate(args) -> int:
-    acfg, base = _resolved_configs(args)
+    datasets, acfg, base = _prepare(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for hfd_on, region_on, pixel_on in _TOGGLE_GRID:
         tcfg = replace(base, hfd_on=hfd_on, region_bsd_on=region_on, pixel_bsd_on=pixel_on)
         cell = out_dir / f"cell_hfd{int(hfd_on)}_r{int(region_on)}_p{int(pixel_on)}"
-        result, _ = _run_one_training(args, acfg, tcfg, cell)
+        result = _run_one_training(args, datasets, acfg, tcfg, cell)
         rows.append((hfd_on, region_on, pixel_on, result.miou_c, result.miou_v))
     base_sum = rows[0][3] + rows[0][4]  # all-off cell
     header = "hfd\tregion\tpixel\tmiou_c\tmiou_v\tdelta"
@@ -276,9 +207,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    acfg, base = _resolved_configs(args)
+    datasets, acfg, base = _prepare(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         points = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
@@ -286,13 +216,13 @@ def cmd_sweep(args) -> int:
     if not points:
         raise ConfigError("sweep needs at least one value")
     vanilla = replace(base, beta=0.0, gamma=0.0)
-    result_v, _ = _run_one_training(args, acfg, vanilla, out_dir / "vanilla")
+    result_v = _run_one_training(args, datasets, acfg, vanilla, out_dir / "vanilla")
     base_sum = result_v.miou_c + result_v.miou_v
     lines = [f"{args.param}\tmiou_c\tmiou_v\tdelta"]
     for value in points:
         tcfg = replace(base, **{args.param: value})
         cell = out_dir / f"{args.param}_{value:g}"
-        result, _ = _run_one_training(args, acfg, tcfg, cell)
+        result = _run_one_training(args, datasets, acfg, tcfg, cell)
         lines.append(f"{value:g}\t{result.miou_c:.9g}\t{result.miou_v:.9g}\t{result.miou_c + result.miou_v - base_sum:.9g}")
     table = "\n".join(lines)
     (out_dir / f"sweep_{args.param}.tsv").write_text(table + "\n")
@@ -311,19 +241,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_train_flags(p):
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    p.add_argument("--sgd-lr", dest="sgd_lr", type=float)
-    p.add_argument("--adamw-lr", dest="adamw_lr", type=float)
-    for toggle in ("hfd", "region-bsd", "pixel-bsd"):
-        dest = toggle.replace("-", "_") + "_on"
-        p.add_argument(f"--{toggle}", dest=dest, action=argparse.BooleanOptionalAction, default=None)
+    for key in _FLAG_KEYS:
+        if _KEYS[key] is _parse_bool:
+            p.add_argument(f"--{key.removesuffix('_on').replace('_', '-')}", dest=key, action=argparse.BooleanOptionalAction)
+        else:
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_KEYS[key])
     p.add_argument("--data", required=True, help="training dataset directory")
     p.add_argument("--eval-data", dest="eval_data", help="held-out dataset directory")
 

@@ -1,4 +1,4 @@
-"""Scalar loss primitives: pixel-wise cross-entropy, cosine distance, KL.
+"""Loss primitives: pixel-wise cross-entropy, cosine distance, per-pixel KL.
 
 All three return graph-connected tensors. pixel_ce additionally returns a
 plain-array per-pixel CE map, which is what the selective-transfer masks
@@ -74,15 +74,6 @@ def cosine_distance(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
 
 def mean_cosine_distance(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
     return cosine_distance(a, b, axis=axis).mean()
-
-
-def kl_div(p_logits: Tensor, q_logits: Tensor) -> Tensor:
-    """KL(softmax(p) || softmax(q)) for two logit vectors, in log space."""
-    if p_logits.shape != q_logits.shape:
-        raise DataError(f"kl_div shapes differ: {tuple(p_logits.shape)} vs {tuple(q_logits.shape)}")
-    lp = log_softmax(p_logits, axis=-1)
-    lq = log_softmax(q_logits, axis=-1)
-    return (softmax(p_logits, axis=-1) * (lp - lq)).sum()
 
 
 def kl_map(p_logits: Tensor, q_logits: Tensor) -> Tensor:

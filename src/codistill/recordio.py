@@ -11,6 +11,7 @@ Round-trips are byte-exact; record order is preserved.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -38,29 +39,41 @@ def write_archive(path, records) -> None:
 
 
 def read_archive(path) -> dict:
-    """Returns an insertion-ordered {name: float64 array} dict."""
+    """Returns an insertion-ordered {name: float64 array} dict.
+
+    Every read is bounds-checked: a truncated or malformed file raises
+    DataError naming the byte offset.
+    """
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != MAGIC:
-        raise DataError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    version, count = struct.unpack_from("<II", blob, 4)
+    view = memoryview(path.read_bytes())
+    if bytes(view[:4]) != MAGIC:
+        raise DataError(f"{path}: bad magic {bytes(view[:4])!r}, expected {MAGIC!r}")
+    ofs = 4
+
+    def take(size, what):
+        nonlocal ofs
+        if size > len(view) - ofs:
+            raise DataError(f"{path}: truncated at byte {ofs}: {what} needs {size} bytes, {len(view) - ofs} left")
+        ofs += size
+        return view[ofs - size : ofs]
+
+    def u32s(n, what):
+        return struct.unpack(f"<{n}I", take(4 * n, what))
+
+    version, count = u32s(2, "header")
     if version != VERSION:
         raise DataError(f"{path}: unsupported format version {version}")
     out = {}
-    ofs = 12
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", blob, ofs)
-        ofs += 4
-        name = blob[ofs : ofs + nlen].decode("utf-8")
-        ofs += nlen
-        (ndim,) = struct.unpack_from("<I", blob, ofs)
-        ofs += 4
-        shape = struct.unpack_from(f"<{ndim}I", blob, ofs)
-        ofs += 4 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=ofs).reshape(shape)
-        ofs += 8 * n
-        out[name] = arr.astype(np.float64)
-    if ofs != len(blob):
-        raise DataError(f"{path}: {len(blob) - ofs} trailing bytes")
+    for index in range(count):
+        (nlen,) = u32s(1, f"record {index} name length")
+        try:
+            name = str(take(nlen, f"record {index} name"), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: record {index} name is not utf-8") from exc
+        (ndim,) = u32s(1, f"{name} ndim")
+        shape = u32s(ndim, f"{name} dims")
+        values = take(8 * math.prod(shape), f"{name} values")
+        out[name] = np.frombuffer(values, dtype="<f8").reshape(shape).astype(np.float64)
+    if ofs != len(view):
+        raise DataError(f"{path}: {len(view) - ofs} trailing bytes")
     return out

@@ -14,15 +14,15 @@ objective detached, so backward(L_cnn) cannot move the ViT and vice versa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bsd import RegionGrid, bsd_loss, build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
 from .data import ConfusionMatrix, miou_from_confusion, predict_labels, update_confusion
-from .errors import ConfigError, TrainingError
-from .hfd import AdapterSet, apply_adapter, hfd_loss_cnn, hfd_loss_vit, init_adapters
+from .errors import ConfigError, DataError, TrainingError
+from .hfd import AdapterSet, FeatureAdapter, apply_adapter, derive_adapter_plan, hfd_loss_cnn, hfd_loss_vit, init_adapters
 from .losses import pixel_ce
 from .recordio import read_archive, write_archive
 from .seeding import substream
@@ -299,15 +299,7 @@ def parse_metrics_line(line: str) -> dict:
 # checkpoints --------------------------------------------------------------
 
 def save_checkpoint(path, acfg: ArchConfig, params_c, params_v, adapters: AdapterSet) -> None:
-    records = [
-        ("config/input_hw", np.array(acfg.input_hw, dtype=float)),
-        ("config/num_classes", np.array([float(acfg.num_classes)])),
-        ("config/cnn_channels", np.array(acfg.cnn_channels, dtype=float)),
-        ("config/vit_dims", np.array(acfg.vit_dims, dtype=float)),
-        ("config/patch_size", np.array([float(acfg.patch_size)])),
-        ("config/num_heads", np.array([float(acfg.num_heads)])),
-        ("config/ffn_ratio", np.array([float(acfg.ffn_ratio)])),
-    ]
+    records = [(f"config/{f.name}", np.array(getattr(acfg, f.name), dtype=float, ndmin=1)) for f in fields(ArchConfig)]
     records += [(f"cnn/{name}", p.data) for name, p in params_c.items()]
     records += [(f"vit/{name}", p.data) for name, p in params_v.items()]
     records += [(name, p.data) for name, p in adapters.cnn_side() + adapters.vit_side()]
@@ -315,22 +307,36 @@ def save_checkpoint(path, acfg: ArchConfig, params_c, params_v, adapters: Adapte
 
 
 def load_checkpoint(path):
+    """(ArchConfig, CNN params, ViT params, AdapterSet) from a checkpoint.
+
+    A missing record or an invalid architecture raises DataError.
+    """
     blob = read_archive(path)
-    acfg = ArchConfig(
-        input_hw=tuple(int(v) for v in blob["config/input_hw"]),
-        num_classes=int(blob["config/num_classes"][0]),
-        cnn_channels=tuple(int(v) for v in blob["config/cnn_channels"]),
-        vit_dims=tuple(int(v) for v in blob["config/vit_dims"]),
-        patch_size=int(blob["config/patch_size"][0]),
-        num_heads=int(blob["config/num_heads"][0]),
-        ffn_ratio=int(blob["config/ffn_ratio"][0]),
-    )
+    adapter_names = [f.name for f in fields(AdapterSet)]
+    required = [f"config/{f.name}" for f in fields(ArchConfig)]
+    required += [f"adapter_{name}/{part}" for name in adapter_names for part in ("weight", "bias")]
+    missing = [name for name in required if name not in blob]
+    if missing:
+        raise DataError(f"{path}: checkpoint lacks record(s) {', '.join(missing)}")
+    try:
+        kwargs = {}
+        for f in fields(ArchConfig):
+            stored = blob[f"config/{f.name}"]
+            kwargs[f.name] = tuple(int(v) for v in stored) if isinstance(f.default, tuple) else int(stored.item())
+        acfg = ArchConfig(**kwargs)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: bad architecture config: {exc}") from exc
     params_c = {k[4:]: Tensor(v, requires_grad=True) for k, v in blob.items() if k.startswith("cnn/")}
     params_v = {k[4:]: Tensor(v, requires_grad=True) for k, v in blob.items() if k.startswith("vit/")}
-    adapters = init_adapters(acfg, substream(0, "init_adapters"))
-    for adapter, tag in ((adapters.c1, "adapter_c1"), (adapters.v1, "adapter_v1"), (adapters.cl, "adapter_cl"), (adapters.vl, "adapter_vl")):
-        adapter.weight.data = blob[f"{tag}/weight"].copy()
-        adapter.bias.data = blob[f"{tag}/bias"].copy()
+    plan = derive_adapter_plan(acfg)
+    adapters = AdapterSet(**{
+        name: FeatureAdapter(
+            weight=Tensor(blob[f"adapter_{name}/weight"], requires_grad=True),
+            bias=Tensor(blob[f"adapter_{name}/bias"], requires_grad=True),
+            pool=getattr(plan, name)[2],
+        )
+        for name in adapter_names
+    })
     return acfg, params_c, params_v, adapters
 
 

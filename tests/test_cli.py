@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from codistill.cli import main, parse_config_file
+from codistill.cli import main, make_parser, parse_config_file, resolve_configs
 from codistill.data import load_dataset
 from codistill.errors import ConfigError
+from codistill.recordio import read_archive, write_archive
 from codistill.losses import pixel_ce
 from codistill.seeding import substream
 from codistill.students import ArchConfig, cnn_forward, init_cnn_params, init_vit_params, vit_forward
@@ -144,6 +145,44 @@ class TestTrain:
         values = parse_config_file(cfg)
         assert values == {"alpha": 0.5, "steps": 7, "hfd_on": False}
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("alpha = 0.5\nsteps = abc\n", r"bad.cfg:2: .*'steps'"),
+            ("hfd_on = maybe\n", r"bad.cfg:1: .*'hfd_on'"),
+            ("cnn_channels = 8,x,24\n", r"bad.cfg:1: .*'cnn_channels'"),
+            ("input_size = 64\n", r"bad.cfg:1: unknown config key 'input_size'"),
+            (None, "cannot read config file .*bad.cfg"),
+        ],
+    )
+    def test_bad_config_file_exits_2_naming_place(self, dataset_dir, tmp_path, capsys, text, match):
+        cfg = tmp_path / "bad.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            parse_config_file(cfg)
+        assert main(train_args(dataset_dir, tmp_path / "run", extra=["--config", str(cfg)])) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_eval_data_size_mismatch_exits_2(self, dataset_dir, tmp_path, capsys):
+        big = tmp_path / "big"
+        assert main(gen_args(big, n=2, size=32)) == 0
+        capsys.readouterr()
+        assert main(train_args(dataset_dir, tmp_path / "run", extra=["--eval-data", str(big)])) == 2
+        assert "32x32, expected 16x16" in capsys.readouterr().err
+
+    def test_manifest_is_a_config_reproducing_the_run(self, dataset_dir, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(train_args(dataset_dir, a, extra=["--alpha", "0.7", "--no-hfd", "--adamw-lr", "3e-4"])) == 0
+        assert main(["train", "--data", str(dataset_dir), "--out", str(b), "--config", str(a / "manifest.txt")]) == 0
+        assert (a / "metrics.log").read_bytes() == (b / "metrics.log").read_bytes()
+        body = [line for line in (b / "manifest.txt").read_text().splitlines() if not line.startswith("#")]
+        assert body == [line for line in (a / "manifest.txt").read_text().splitlines() if not line.startswith("#")]
+
+    def test_no_flags_resolve_to_library_defaults(self, dataset_dir, tmp_path):
+        args = make_parser().parse_args(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run")])
+        assert resolve_configs(args, (16, 16)) == (ArchConfig(input_hw=(16, 16)), TrainConfig())
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exits_3(self, dataset_dir, tmp_path):
         code = main(train_args(dataset_dir, tmp_path / "run", steps=6, extra=["--sgd-lr", "1e200"]))
@@ -184,6 +223,32 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.bin"), "--data", str(dataset_dir)]) == 2
 
 
+    def test_image_size_mismatch_exits_2(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(train_args(dataset_dir, out, steps=1)) == 0
+        big = tmp_path / "big"
+        assert main(gen_args(big, n=2, size=32)) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "ckpt_final.bin"), "--data", str(big)]) == 2
+        assert "32x32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["cut_10", "cut_1000", "drop_config/num_classes"])
+    def test_damaged_checkpoint_exits_2(self, dataset_dir, tmp_path, capsys, damage):
+        out = tmp_path / "run"
+        assert main(train_args(dataset_dir, out, steps=1)) == 0
+        ckpt = out / "ckpt_final.bin"
+        kind, arg = damage.split("_", 1)
+        if kind == "cut":
+            ckpt.write_bytes(ckpt.read_bytes()[: int(arg)])
+        else:
+            write_archive(ckpt, [(name, arr) for name, arr in read_archive(ckpt).items() if name != arg])
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_dir)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert ("truncated" if kind == "cut" else arg) in err
+
+
 class TestAblate:
     def test_grid_structure_and_reruns(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "grid"
@@ -194,6 +259,7 @@ class TestAblate:
         rows = [line.split("\t") for line in table[1:]]
         assert [r[:3] for r in rows] == [[str(int(h)), str(int(g)), str(int(p))] for h in (0, 1) for g in (0, 1) for p in (0, 1)]
         assert float(rows[0][5]) == 0.0  # all-off delta
+        assert "hfd_on = False" in (out / "cell_hfd0_r0_p0" / "manifest.txt").read_text()
 
         # all-off and all-on cells equal fresh cmd_train runs, bitwise
         for toggles, cell in ((["--no-hfd", "--no-region-bsd", "--no-pixel-bsd"], "cell_hfd0_r0_p0"), ([], "cell_hfd1_r1_p1")):

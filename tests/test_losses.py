@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codistill.errors import DataError
-from codistill.losses import IGNORE_LABEL, cosine_distance, kl_div, mean_cosine_distance, pixel_ce
+from codistill.losses import IGNORE_LABEL, cosine_distance, kl_map, mean_cosine_distance, pixel_ce
 from codistill.tensor import Tensor
 
 from gradcheck import check_grads
@@ -128,36 +128,45 @@ class TestCosineDistance:
 
 
 class TestKLDiv:
+    """kl_map: per-pixel KL(softmax(p) || softmax(q)) over the class axis of K×H×W logits."""
+
     def test_identical_logits_zero(self):
-        x = Tensor(np.array([0.3, -1.2, 2.0]))
-        assert kl_div(x, x).item() == 0.0
+        x = Tensor(np.random.default_rng(0).standard_normal((3, 2, 4)))
+        out = kl_map(x, x).data
+        assert out.shape == (2, 4)
+        assert np.all(out == 0.0)
 
     def test_near_one_hot_vs_uniform_is_log2(self):
-        p = Tensor(np.array([50.0, 0.0]))
-        q = Tensor(np.array([0.0, 0.0]))
-        assert abs(kl_div(p, q).item() - math.log(2)) < 1e-3
+        p = Tensor(np.array([50.0, 0.0]).reshape(2, 1, 1))
+        q = Tensor(np.zeros((2, 1, 1)))
+        assert abs(kl_map(p, q).item() - math.log(2)) < 1e-3
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        p = rng.standard_normal(5) * 2
-        q = rng.standard_normal(5) * 2
-        sp = np.exp(p - p.max())
-        sp /= sp.sum()
-        sq = np.exp(q - q.max())
-        sq /= sq.sum()
-        expect = float((sp * (np.log(sp) - np.log(sq))).sum())
-        np.testing.assert_allclose(kl_div(Tensor(p), Tensor(q)).item(), expect, rtol=1e-10)
+        p = rng.standard_normal((5, 3, 4)) * 2
+        q = rng.standard_normal((5, 3, 4)) * 2
+        expect = np.zeros((3, 4))
+        for i in range(3):
+            for j in range(4):
+                sp = np.exp(p[:, i, j] - p[:, i, j].max())
+                sp /= sp.sum()
+                sq = np.exp(q[:, i, j] - q[:, i, j].max())
+                sq /= sq.sum()
+                expect[i, j] = (sp * (np.log(sp) - np.log(sq))).sum()
+        np.testing.assert_allclose(kl_map(Tensor(p), Tensor(q)).data, expect, rtol=1e-10)
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            p = Tensor(rng.standard_normal(4) * 3)
-            q = Tensor(rng.standard_normal(4) * 3)
-            assert kl_div(p, q).item() > 0.0
+            p = Tensor(rng.standard_normal((4, 2, 3)) * 3)
+            q = Tensor(rng.standard_normal((4, 2, 3)) * 3)
+            assert np.all(kl_map(p, q).data > 0.0)
 
     def test_gradient(self):
         rng = np.random.default_rng(9)
-        p = Tensor(rng.standard_normal(5), requires_grad=True)
-        q = Tensor(rng.standard_normal(5), requires_grad=True)
-        check_grads(lambda: kl_div(p, q), [p, q], label="kl_div")
+        p = Tensor(rng.standard_normal((5, 2, 3)), requires_grad=True)
+        q = Tensor(rng.standard_normal((5, 2, 3)), requires_grad=True)
+        # distinct per-pixel weights, so a gradient routed to the wrong pixel shows
+        w = Tensor(rng.uniform(0.5, 2.0, (2, 3)))
+        check_grads(lambda: (kl_map(p, q) * w).sum(), [p, q], label="kl_map")

@@ -43,3 +43,24 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(DataError, match="trailing"):
         read_archive(path)
+
+
+def test_every_truncation_rejected(tmp_path):
+    path = tmp_path / "arc.bin"
+    write_archive(path, [("w", np.arange(6.0).reshape(2, 3)), ("scalar", np.array(1.5)), ("b", np.zeros(2))])
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(DataError):
+            read_archive(cut)
+
+
+def test_oversized_dims_rejected(tmp_path):
+    path = tmp_path / "arc.bin"
+    write_archive(path, [("x", np.zeros(2))])
+    blob = bytearray(path.read_bytes())
+    blob[-20:-16] = (2**32 - 1).to_bytes(4, "little")  # the single dim of "x"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="truncated"):
+        read_archive(path)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from codistill.data import SynthSpec, generate_dataset
-from codistill.errors import ConfigError, TrainingError
+from codistill.errors import ConfigError, DataError, TrainingError
 from codistill.hfd import apply_adapter, hfd_loss_cnn
 from codistill.bsd import RegionGrid, build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
 from codistill.losses import pixel_ce
+from codistill.recordio import read_archive, write_archive
 from codistill.students import ArchConfig, cnn_forward, vit_forward
 from codistill.tensor import Tensor, zero_grads
 from codistill.trainer import (
@@ -281,6 +282,39 @@ class TestRunTraining:
         assert path.read_bytes() == again.read_bytes()
         for k, p in res.state.params_c.items():
             np.testing.assert_array_equal(p.data, params_c[k].data)
+
+    def test_checkpoint_adapters_load_as_saved(self, tmp_path):
+        state = make_train_state(MICRO, micro_tcfg(seed=4))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, MICRO, state.params_c, state.params_v, state.adapters)
+        adapters = load_checkpoint(path)[3]
+        for name in ("c1", "v1", "cl", "vl"):
+            saved, loaded = getattr(state.adapters, name), getattr(adapters, name)
+            assert loaded.pool == saved.pool
+            np.testing.assert_array_equal(loaded.weight.data, saved.weight.data)
+            np.testing.assert_array_equal(loaded.bias.data, saved.bias.data)
+            assert loaded.weight.requires_grad and loaded.bias.requires_grad
+
+    @pytest.mark.parametrize("missing", ["config/input_hw", "config/ffn_ratio", "adapter_c1/weight", "adapter_vl/bias"])
+    def test_missing_checkpoint_record_raises_data_error(self, tmp_path, missing):
+        state = make_train_state(MICRO, micro_tcfg())
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, MICRO, state.params_c, state.params_v, state.adapters)
+        write_archive(path, [(name, arr) for name, arr in read_archive(path).items() if name != missing])
+        with pytest.raises(DataError, match=missing):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("config/input_hw", [16.0, 16.0, 16.0]), ("config/num_classes", [3.0, 3.0]), ("config/num_heads", [float("nan")]), ("config/ffn_ratio", [float("inf")]), ("config/num_classes", [1.0])],
+    )
+    def test_bad_checkpoint_config_raises_data_error(self, tmp_path, name, value):
+        state = make_train_state(MICRO, micro_tcfg())
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, MICRO, state.params_c, state.params_v, state.adapters)
+        write_archive(path, [(n, np.array(value) if n == name else arr) for n, arr in read_archive(path).items()])
+        with pytest.raises(DataError, match="bad architecture config"):
+            load_checkpoint(path)
 
     def test_evaluate_on_identical_params_is_deterministic(self, dataset):
         tcfg = micro_tcfg(steps=1)
