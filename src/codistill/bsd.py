@@ -14,6 +14,10 @@ Masks are rebuilt from the current predictions at every step and carry no
 gradient. Direction value 1 means the CNN is strictly more reliable there
 (ties go to the ViT side, keeping the rule total). Units whose direction
 set is empty contribute a loss of exactly 0 rather than a 0/0.
+
+Every map may carry a leading batch axis. Counts are then per image, and
+each masked mean is taken per image and averaged over the batch; an image
+whose direction set is empty contributes exactly 0 to that average.
 """
 
 from __future__ import annotations
@@ -54,26 +58,26 @@ class DirectionMask:
     excluded from both directions and both counts).
     """
 
-    values: np.ndarray  # {0.0, 1.0}
-    valid: np.ndarray  # bool
-    count: int  # ones among valid units
+    values: np.ndarray  # (N×)rows×cols of {0.0, 1.0}
+    valid: np.ndarray  # bool, same shape
+    count: np.ndarray  # ones among valid units, per image: (N,) or a scalar
 
     @property
-    def complement_count(self) -> int:
-        return int((self.valid & (self.values == 0.0)).sum())
+    def complement_count(self) -> np.ndarray:
+        return (self.valid & (self.values == 0.0)).sum(axis=(-2, -1))
 
 
 def _mask_from_votes(ce_cnn, ce_vit, valid) -> DirectionMask:
     values = np.where(valid & (ce_cnn < ce_vit), 1.0, 0.0)
-    return DirectionMask(values=values, valid=valid, count=int(values.sum()))
+    return DirectionMask(values=values, valid=valid, count=(values == 1.0).sum(axis=(-2, -1)))
 
 
 def region_ce(ce_map: PixelCEMap, grid: RegionGrid) -> np.ndarray:
     """Block sums of per-pixel CE (ignored pixels contribute 0)."""
-    h, w = ce_map.values.shape
+    *lead, h, w = ce_map.values.shape
     if h != grid.rows * grid.block_h or w != grid.cols * grid.block_w:
         raise ConfigError(f"grid {grid} does not match CE map {h}x{w}")
-    return ce_map.values.reshape(grid.rows, grid.block_h, grid.cols, grid.block_w).sum(axis=(1, 3))
+    return ce_map.values.reshape(*lead, grid.rows, grid.block_h, grid.cols, grid.block_w).sum(axis=(-3, -1))
 
 
 def build_region_mask(ce_cnn: np.ndarray, ce_vit: np.ndarray) -> DirectionMask:
@@ -92,13 +96,14 @@ def region_similarity(fl_cnn: Tensor, fl_vit: Tensor) -> Tensor:
     """Per-region cosine distance of the two adapted last-stage features."""
     if fl_cnn.shape != fl_vit.shape:
         raise ShapeError(f"adapted features differ: {tuple(fl_cnn.shape)} vs {tuple(fl_vit.shape)}")
-    return cosine_distance(fl_cnn, fl_vit, axis=0)
+    return cosine_distance(fl_cnn, fl_vit, axis=-3)
 
 
-def _masked_mean(term: Tensor, weights: np.ndarray, count: int) -> Tensor:
-    if count == 0:
+def _masked_mean(term: Tensor, weights: np.ndarray, count) -> Tensor:
+    """Per-image weighted sum over count, averaged over the batch."""
+    if not np.any(count):
         return Tensor(0.0)
-    return (term * weights).sum() / count
+    return ((term * weights).sum(axis=(-2, -1)) / np.maximum(count, 1)).mean()
 
 
 def region_loss(fl_cnn: Tensor, fl_vit: Tensor, mask: DirectionMask):
@@ -108,7 +113,7 @@ def region_loss(fl_cnn: Tensor, fl_vit: Tensor, mask: DirectionMask):
     detached; the ViT learns on units where the CNN won (mask 1) with the
     CNN feature detached.
     """
-    if mask.values.shape != fl_cnn.shape[1:]:
+    if mask.values.shape != fl_cnn.shape[:-3] + fl_cnn.shape[-2:]:
         raise ShapeError(f"mask {mask.values.shape} does not match features {tuple(fl_cnn.shape)}")
     sim_for_cnn = region_similarity(fl_cnn, fl_vit.detach())
     sim_for_vit = region_similarity(fl_cnn.detach(), fl_vit)
@@ -118,15 +123,16 @@ def region_loss(fl_cnn: Tensor, fl_vit: Tensor, mask: DirectionMask):
     return loss_c, loss_v
 
 
-def pixel_loss(pred_cnn: Tensor, pred_vit: Tensor, mask: DirectionMask):
-    """(loss for the CNN, loss for the ViT) from one-sided per-pixel KL terms."""
-    if pred_cnn.shape != pred_vit.shape:
-        raise ShapeError(f"prediction shapes differ: {tuple(pred_cnn.shape)} vs {tuple(pred_vit.shape)}")
-    if mask.values.shape != pred_cnn.shape[1:]:
-        raise ShapeError(f"mask {mask.values.shape} does not match predictions {tuple(pred_cnn.shape)}")
+def pixel_loss(logp_cnn: Tensor, logp_vit: Tensor, mask: DirectionMask):
+    """(loss for the CNN, loss for the ViT) from one-sided per-pixel KL terms
+    on the two students' class log-probabilities."""
+    if logp_cnn.shape != logp_vit.shape:
+        raise ShapeError(f"prediction shapes differ: {tuple(logp_cnn.shape)} vs {tuple(logp_vit.shape)}")
+    if mask.values.shape != logp_cnn.shape[:-3] + logp_cnn.shape[-2:]:
+        raise ShapeError(f"mask {mask.values.shape} does not match predictions {tuple(logp_cnn.shape)}")
     toward_vit = np.where(mask.valid, 1.0 - mask.values, 0.0)
-    loss_c = _masked_mean(kl_map(pred_cnn, pred_vit.detach()), toward_vit, mask.complement_count)
-    loss_v = _masked_mean(kl_map(pred_vit, pred_cnn.detach()), mask.values, mask.count)
+    loss_c = _masked_mean(kl_map(logp_cnn, logp_vit.detach()), toward_vit, mask.complement_count)
+    loss_v = _masked_mean(kl_map(logp_vit, logp_cnn.detach()), mask.values, mask.count)
     return loss_c, loss_v
 
 
@@ -147,12 +153,12 @@ def dump_selection_state(path, similarity, region_mask: DirectionMask, map_cnn: 
         [
             ("similarity", sim),
             ("region_mask/values", region_mask.values),
-            ("region_mask/count", np.array([float(region_mask.count)])),
+            ("region_mask/count", np.array(region_mask.count, dtype=float, ndmin=1)),
             ("pixel_ce/cnn", map_cnn.values),
             ("pixel_ce/vit", map_vit.values),
             ("pixel_ce/valid", map_cnn.valid.astype(np.float64)),
             ("pixel_mask/values", pixel_mask.values),
             ("pixel_mask/valid", pixel_mask.valid.astype(np.float64)),
-            ("pixel_mask/count", np.array([float(pixel_mask.count)])),
+            ("pixel_mask/count", np.array(pixel_mask.count, dtype=float, ndmin=1)),
         ],
     )

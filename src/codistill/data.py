@@ -160,6 +160,6 @@ def miou_from_confusion(cm: ConfusionMatrix) -> float:
 
 
 def predict_labels(prediction) -> np.ndarray:
-    """Argmax class map from K×H×W logits (tensor or array)."""
+    """Argmax class map from (N×)K×H×W logits (tensor or array)."""
     data = prediction.data if isinstance(prediction, Tensor) else np.asarray(prediction)
-    return data.argmax(axis=0)
+    return data.argmax(axis=-3)

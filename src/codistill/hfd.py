@@ -8,6 +8,10 @@ student's native second feature with a cosine-distance penalty.
 Gradient direction: only the learning student moves. The borrowed block's
 weights and the target feature are detached, so the loss trains the
 source student's early layers and its adapter, never the counterpart.
+
+Features may carry a leading batch axis; the loss is the mean distance
+over every location of every image, which equals the mean of per-image
+means because every image has the same grid.
 """
 
 from __future__ import annotations
@@ -54,9 +58,9 @@ def init_adapter(c_in: int, c_out: int, pool: int, rng) -> FeatureAdapter:
 
 
 def apply_adapter(f: Tensor, adapter: FeatureAdapter) -> Tensor:
-    if f.ndim != 3 or f.shape[0] != adapter.in_channels:
+    if f.ndim not in (3, 4) or f.shape[-3] != adapter.in_channels:
         raise ConfigError(f"adapter expects {adapter.in_channels} input channels, got {tuple(f.shape)}")
-    if f.shape[1] % adapter.pool or f.shape[2] % adapter.pool:
+    if f.shape[-2] % adapter.pool or f.shape[-1] % adapter.pool:
         raise ConfigError(f"feature {tuple(f.shape)} not divisible by pool factor {adapter.pool}")
     out = conv2d(f, adapter.weight) + adapter.bias.reshape((adapter.out_channels, 1, 1))
     if adapter.pool > 1:
@@ -135,10 +139,10 @@ def hfd_loss_cnn(f1_c: Tensor, adapter_c1: FeatureAdapter, vit_params: StudentPa
     """Alignment loss that trains the CNN: its adapted f1 through the ViT's
     second stage versus the ViT's own f2. ViT weights and f2 are frozen."""
     crossed = vit_second_stage(apply_adapter(f1_c, adapter_c1), detach_params(vit_params), cfg)
-    return mean_cosine_distance(crossed, f2_v.detach(), axis=0)
+    return mean_cosine_distance(crossed, f2_v.detach(), axis=-3)
 
 
 def hfd_loss_vit(f1_v: Tensor, adapter_v1: FeatureAdapter, cnn_params: StudentParams, cfg: ArchConfig, f2_c: Tensor) -> Tensor:
     """Mirror of hfd_loss_cnn: trains the ViT through the CNN's second layer."""
     crossed = mlp_block(apply_adapter(f1_v, adapter_v1), detach_params(cnn_params))
-    return mean_cosine_distance(crossed, f2_c.detach(), axis=0)
+    return mean_cosine_distance(crossed, f2_c.detach(), axis=-3)

@@ -1,7 +1,9 @@
 """Two toy dense-prediction students: one convolutional, one attention-based.
 
 Both expose the intermediate features the distillation losses need (first,
-second and last layer/stage) alongside full-resolution class logits. The
+second and last layer/stage) alongside full-resolution class logits. Both
+take one 3×H×W image or an N×3×H×W batch; every output keeps the batch
+axis, and each image's outputs match those of a forward on it alone. The
 stride plan mirrors the usual encoder pattern at desk scale:
 
     CNN:  f1 at stride 2, f2 at stride 4, fl at stride 4 (same grid as f2)
@@ -29,15 +31,12 @@ from .tensor import (
     ShapeError,
     Tensor,
     bilinear_upsample,
-    concat,
     conv2d,
     gelu,
     layer_norm,
     matmul,
-    narrow,
     relu,
     softmax,
-    transpose,
 )
 
 StudentParams = dict  # name -> Tensor
@@ -100,7 +99,7 @@ class ArchConfig:
 
 @dataclass
 class StudentOutputs:
-    prediction: Tensor  # K×H×W logits at input resolution
+    prediction: Tensor  # (N×)K×H×W logits at input resolution
     f1: Tensor
     f2: Tensor
     fl: Tensor
@@ -183,38 +182,43 @@ def _chan_bias(b: Tensor) -> Tensor:
     return b.reshape((b.shape[0], 1, 1))
 
 
-# token <-> feature-map conversion: row-major spatial flatten, channels last
+# token <-> feature-map conversion: row-major spatial flatten, channels
+# last; leading batch axes are kept
 def feature_to_tokens(f: Tensor) -> Tensor:
-    c, h, w = f.shape
-    return f.transpose(1, 2, 0).reshape(h * w, c)
+    *lead, c, h, w = f.shape
+    nl = len(lead)
+    return f.transpose(*range(nl), nl + 1, nl + 2, nl).reshape(*lead, h * w, c)
 
 
 def tokens_to_feature(t: Tensor, hw) -> Tensor:
     h, w = hw
-    return t.reshape(h, w, t.shape[1]).transpose(2, 0, 1)
+    *lead, _, c = t.shape
+    nl = len(lead)
+    return t.reshape(*lead, h, w, c).transpose(*range(nl), nl + 2, nl, nl + 1)
 
 
 def attention_mix(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int) -> Tensor:
     """softmax(Q Kᵀ / sqrt(d)) V per head, heads concatenated.
 
     d is the per-head key dimension. No output projection: the mixing step
-    is exactly the scaled-dot-product form.
+    is exactly the scaled-dot-product form. All heads (and any leading
+    batch axes) run as one batched matmul; Q is scaled before the product.
     """
-    n, dim = tokens.shape
+    *lead, n, dim = tokens.shape
     if dim % num_heads:
         raise ConfigError(f"token dim {dim} not divisible by {num_heads} heads")
     dh = dim // num_heads
-    q = matmul(tokens, wq)
-    k = matmul(tokens, wk)
-    v = matmul(tokens, wv)
-    outs = []
-    for h in range(num_heads):
-        qs = narrow(q, 1, h * dh, dh)
-        ks = narrow(k, 1, h * dh, dh)
-        vs = narrow(v, 1, h * dh, dh)
-        scores = matmul(qs, transpose(ks)) * (1.0 / np.sqrt(dh))
-        outs.append(matmul(softmax(scores, axis=1), vs))
-    return outs[0] if num_heads == 1 else concat(outs, axis=1)
+    nl = len(lead)
+    split = (*range(nl), nl + 1, nl, nl + 2)  # (..., T, heads, dh) <-> (..., heads, T, dh)
+
+    def heads(t):
+        return t.reshape(*lead, n, num_heads, dh).transpose(split)
+
+    q = heads(matmul(tokens, wq) * (1.0 / np.sqrt(dh)))
+    k = heads(matmul(tokens, wk)).transpose(*range(nl + 1), nl + 2, nl + 1)
+    v = heads(matmul(tokens, wv))
+    mixed = matmul(softmax(matmul(q, k), axis=-1), v)
+    return mixed.transpose(split).reshape(*lead, n, dim)
 
 
 def attn_block(tokens: Tensor, params: StudentParams, stage: int, cfg: ArchConfig) -> Tensor:
@@ -228,14 +232,13 @@ def attn_block(tokens: Tensor, params: StudentParams, stage: int, cfg: ArchConfi
 
 
 def _attn_stage(fmap: Tensor, params: StudentParams, stage: int, cfg: ArchConfig) -> Tensor:
-    _, h, w = fmap.shape
-    return tokens_to_feature(attn_block(feature_to_tokens(fmap), params, stage, cfg), (h, w))
+    return tokens_to_feature(attn_block(feature_to_tokens(fmap), params, stage, cfg), fmap.shape[-2:])
 
 
 def mlp_block(f: Tensor, params: StudentParams) -> Tensor:
     """The CNN's second layer, callable on any conforming feature map."""
     w = params["conv2_w"]
-    if f.ndim != 3 or f.shape[0] != w.shape[1]:
+    if f.ndim not in (3, 4) or f.shape[-3] != w.shape[1]:
         raise ShapeError(f"second-layer input needs {w.shape[1]} channels, got {tuple(f.shape)}")
     return relu(conv2d(f, w, stride=2, padding=1) + _chan_bias(params["conv2_b"]))
 
@@ -243,15 +246,15 @@ def mlp_block(f: Tensor, params: StudentParams) -> Tensor:
 def vit_second_stage(f: Tensor, params: StudentParams, cfg: ArchConfig) -> Tensor:
     """The ViT's second stage (downsample + attention), callable on any f1-shaped map."""
     w = params["down2_w"]
-    if f.ndim != 3 or f.shape[0] != w.shape[1]:
+    if f.ndim not in (3, 4) or f.shape[-3] != w.shape[1]:
         raise ShapeError(f"second-stage input needs {w.shape[1]} channels, got {tuple(f.shape)}")
     merged = conv2d(f, w, stride=2) + _chan_bias(params["down2_b"])
     return _attn_stage(merged, params, 2, cfg)
 
 
 def _check_input(x: Tensor, cfg: ArchConfig):
-    if x.shape != (3, *cfg.input_hw):
-        raise ShapeError(f"expected input 3×{cfg.input_hw[0]}×{cfg.input_hw[1]}, got {tuple(x.shape)}")
+    if x.ndim not in (3, 4) or x.shape[-3:] != (3, *cfg.input_hw):
+        raise ShapeError(f"expected input (N×)3×{cfg.input_hw[0]}×{cfg.input_hw[1]}, got {tuple(x.shape)}")
 
 
 def cnn_forward(x: Tensor, params: StudentParams, cfg: ArchConfig) -> StudentOutputs:

@@ -7,7 +7,9 @@ untracked record nothing, so constant subgraphs cost no backward work.
 
 Conventions: row-major float64 everywhere, tensors are treated as
 immutable once produced by an op, gradients accumulate across backward
-calls until ``zero_grads`` resets them.
+calls until ``zero_grads`` resets them. Backward closures return None for
+a parent that does not require a gradient rather than computing one that
+would be discarded. Ops take optional leading batch axes.
 """
 
 from __future__ import annotations
@@ -177,7 +179,10 @@ def add(a, b):
     a, b = _lift(a), _lift(b)
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -186,7 +191,10 @@ def sub(a, b):
     a, b = _lift(a), _lift(b)
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        )
 
     return _make(a.data - b.data, (a, b), backward)
 
@@ -195,7 +203,10 @@ def mul(a, b):
     a, b = _lift(a), _lift(b)
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+        )
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -204,8 +215,8 @@ def div(a, b):
     a, b = _lift(a), _lift(b)
 
     def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
         return ga, gb
 
     return _make(a.data / b.data, (a, b), backward)
@@ -257,12 +268,12 @@ def gelu(x):
     """Tanh-form gelu; smooth, so finite differences check cleanly."""
     x = _lift(x)
     v = x.data
-    u = _GELU_C * (v + _GELU_A * v**3)
-    t = np.tanh(u)
+    v2 = v * v
+    t = np.tanh(_GELU_C * (v + _GELU_A * v2 * v))
     out = 0.5 * v * (1.0 + t)
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * v * v)
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * v2)
         return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du),)
 
     return _make(out, (x,), backward)
@@ -386,35 +397,52 @@ def concat(tensors, axis=0):
 
 
 # linear algebra and stencils -----------------------------------------
+#
+# The stencil ops (conv2d, avg_pool2d, bilinear_upsample) act on the
+# trailing C×H×W axes; any leading axes are batch axes, and each image is
+# computed exactly as it would be on its own.
 
 def matmul(a, b):
+    """(..., m, k) @ (k, n) or (..., m, k) @ (..., k, n), leading axes broadcast."""
     a, b = _lift(a), _lift(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul needs (m,k)@(k,n); got {tuple(a.shape)} and {tuple(b.shape)}")
+    bad = ShapeError(f"matmul needs (...,m,k)@(...,k,n); got {tuple(a.shape)} and {tuple(b.shape)}")
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise bad
+    try:
+        data = a.data @ b.data
+    except ValueError:  # leading axes that do not broadcast
+        raise bad from None
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        gb = None
+        if b.requires_grad and b.ndim == 2:
+            # one GEMM over every leading row instead of a stack of them
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        elif b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        return ga, gb
 
-    return _make(a.data @ b.data, (a, b), backward)
+    return _make(data, (a, b), backward)
 
 
 def conv2d(x, w, stride=1, padding=0):
-    """Cross-correlation of a C×H×W input with an O×C×k×k kernel.
+    """Cross-correlation of a (...×)C×H×W input with an O×C×k×k kernel.
 
     The output extent (H + 2*padding - k)/stride + 1 must be a positive
     integer; fractional extents are rejected rather than floored.
     """
     x, w = _lift(x), _lift(w)
-    if x.ndim != 3:
-        raise ShapeError(f"conv2d input must be C×H×W, got {tuple(x.shape)}")
+    if x.ndim < 3:
+        raise ShapeError(f"conv2d input must be C×H×W with optional leading axes, got {tuple(x.shape)}")
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
         raise ShapeError(f"conv2d kernel must be O×C×k×k with square k, got {tuple(w.shape)}")
     c_out, c_in, k, _ = w.shape
-    if c_in != x.shape[0]:
+    if c_in != x.shape[-3]:
         raise ShapeError(f"conv2d channel mismatch: input {tuple(x.shape)} vs kernel {tuple(w.shape)}")
     if k < 1 or stride < 1 or padding < 0:
         raise ShapeError(f"conv2d needs k>=1, stride>=1, padding>=0; got k={k}, stride={stride}, padding={padding}")
-    _, h, wid = x.shape
+    h, wid = x.shape[-2:]
     qh, rh = divmod(h + 2 * padding - k, stride)
     qw, rw = divmod(wid + 2 * padding - k, stride)
     h_out, w_out = qh + 1, qw + 1
@@ -423,48 +451,53 @@ def conv2d(x, w, stride=1, padding=0):
             f"conv2d output size not integral/positive for input {tuple(x.shape)}, "
             f"kernel {tuple(w.shape)}, stride={stride}, padding={padding}"
         )
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, h_out * w_out)
-    data = (w.data.reshape(c_out, -1) @ cols).reshape(c_out, h_out, w_out)
+    xb = x.data.reshape(-1, c_in, h, wid)
+    n = xb.shape[0]
+    xp = np.pad(xb, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xb
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c_in * k * k, h_out * w_out)
+    wm = w.data.reshape(c_out, -1)
+    data = (wm @ cols).reshape(*x.shape[:-3], c_out, h_out, w_out)
 
     def backward(g):
-        gm = g.reshape(c_out, -1)
-        gw = (gm @ cols.T).reshape(w.shape)
-        gcols = (w.data.reshape(c_out, -1).T @ gm).reshape(c_in, k, k, h_out, w_out)
+        gm = g.reshape(n, c_out, h_out * w_out)
+        gw = np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(w.shape) if w.requires_grad else None
+        if not x.requires_grad:
+            return None, gw
+        gcols = (wm.T @ gm).reshape(n, c_in, k, k, h_out, w_out)
         gxp = np.zeros_like(xp)
         for i in range(k):
             for j in range(k):
-                gxp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += gcols[:, i, j]
-        gx = gxp[:, padding : padding + h, padding : padding + wid] if padding else gxp
-        return gx, gw
+                gxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += gcols[:, :, i, j]
+        gx = gxp[:, :, padding : padding + h, padding : padding + wid] if padding else gxp
+        return gx.reshape(x.shape), gw
 
     return _make(data, (x, w), backward)
 
 
 def avg_pool2d(x, k, stride=None):
-    """Mean over k×k windows; window grid must tile the input exactly."""
+    """Mean over k×k windows of the trailing H×W axes; the window grid must tile them exactly."""
     x = _lift(x)
     stride = k if stride is None else stride
-    if x.ndim != 3:
-        raise ShapeError(f"avg_pool2d input must be C×H×W, got {tuple(x.shape)}")
+    if x.ndim < 3:
+        raise ShapeError(f"avg_pool2d input must be C×H×W with optional leading axes, got {tuple(x.shape)}")
     if k < 1 or stride < 1:
         raise ShapeError(f"avg_pool2d needs k>=1 and stride>=1, got k={k}, stride={stride}")
-    _, h, wid = x.shape
+    h, wid = x.shape[-2:]
     qh, rh = divmod(h - k, stride)
     qw, rw = divmod(wid - k, stride)
     h_out, w_out = qh + 1, qw + 1
     if h < k or wid < k or rh or rw:
         raise ShapeError(f"avg_pool2d windows (k={k}, stride={stride}) do not tile input {tuple(x.shape)}")
-    win = sliding_window_view(x.data, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    data = win.mean(axis=(3, 4))
+    win = sliding_window_view(x.data, (k, k), axis=(-2, -1))[..., ::stride, ::stride, :, :]
+    data = win.mean(axis=(-2, -1))
 
     def backward(g):
         gx = np.zeros_like(x.data)
         gk = g / (k * k)
         for i in range(k):
             for j in range(k):
-                gx[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += gk
+                gx[..., i : i + stride * h_out : stride, j : j + stride * w_out : stride] += gk
         return (gx,)
 
     return _make(data, (x,), backward)
@@ -472,21 +505,22 @@ def avg_pool2d(x, k, stride=None):
 
 def softmax(x, axis):
     x = _lift(x)
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        return (s * (g - dot),)
+        gx = g - (g * s).sum(axis=axis, keepdims=True)
+        gx *= s
+        return (gx,)
 
     return _make(s, (x,), backward)
 
 
 def log_softmax(x, axis):
     x = _lift(x)
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    ls = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    ls = x.data - x.data.max(axis=axis, keepdims=True)
+    ls -= np.log(np.exp(ls).sum(axis=axis, keepdims=True))
 
     def backward(g):
         return (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),)
@@ -513,11 +547,15 @@ def layer_norm(x, gain, bias, axis=-1, eps=1e-5):
     red = tuple(i for i in range(x.ndim) if i != ax)
 
     def backward(g):
-        dxhat = g * gb
-        m1 = dxhat.mean(axis=ax, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=ax, keepdims=True)
-        gx = r * (dxhat - m1 - xhat * m2)
-        return gx, (g * xhat).sum(axis=red), g.sum(axis=red)
+        gx = None
+        if x.requires_grad:
+            dxhat = g * gb
+            m1 = dxhat.mean(axis=ax, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=ax, keepdims=True)
+            gx = r * (dxhat - m1 - xhat * m2)
+        ggain = (g * xhat).sum(axis=red) if gain.requires_grad else None
+        gbias = g.sum(axis=red) if bias.requires_grad else None
+        return gx, ggain, gbias
 
     return _make(data, (x, gain, bias), backward)
 
@@ -543,16 +581,16 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 def bilinear_upsample(x, out_hw):
-    """Resize a C×h×w map to C×H×W with separable bilinear interpolation."""
+    """Resize the trailing h×w axes of a (...×)C×h×w map to H×W, separable bilinear."""
     x = _lift(x)
-    if x.ndim != 3:
-        raise ShapeError(f"bilinear_upsample input must be C×H×W, got {tuple(x.shape)}")
+    if x.ndim < 3:
+        raise ShapeError(f"bilinear_upsample input must be C×H×W with optional leading axes, got {tuple(x.shape)}")
     h_out, w_out = out_hw
-    rmat = _interp_matrix(x.shape[1], h_out)
-    cmat = _interp_matrix(x.shape[2], w_out)
-    data = np.einsum("oh,chw,pw->cop", rmat, x.data, cmat, optimize=True)
+    rmat = _interp_matrix(x.shape[-2], h_out)
+    cmat = _interp_matrix(x.shape[-1], w_out)
+    data = rmat @ (x.data @ cmat.T)
 
     def backward(g):
-        return (np.einsum("oh,cop,pw->chw", rmat, g, cmat, optimize=True),)
+        return ((rmat.T @ g) @ cmat,)
 
     return _make(data, (x,), backward)

@@ -1,8 +1,9 @@
 """Collaborative training loop for the student pair.
 
-Each step forwards both students on the batch, assembles one objective per
-student (cross-entropy + weighted alignment + weighted selective transfer),
-runs one backward pass per objective, and applies SGD with momentum to the
+Each step forwards both students once on the stacked batch, assembles one
+objective per student (cross-entropy + weighted alignment + weighted
+selective transfer, each normalised per image and averaged over the
+batch), runs one backward pass per objective, and applies SGD with momentum to the
 convolutional side and AdamW to the attention side. The adapters train with
 the student whose objective they serve.
 
@@ -35,7 +36,7 @@ from .students import (
     init_vit_params,
     vit_forward,
 )
-from .tensor import Tensor, zero_grads
+from .tensor import Tensor, log_softmax, zero_grads
 
 
 @dataclass(frozen=True)
@@ -171,13 +172,20 @@ class AdamW:
 # objective assembly ----------------------------------------------------
 
 def total_objective(out_c, out_v, labels, params_c, params_v, adapters: AdapterSet, acfg: ArchConfig, tcfg: TrainConfig):
-    """Per-image objectives for both students plus the logged term values.
+    """Objectives for both students plus the logged term values.
 
-    Disabled or zero-weight terms are never assembled, contributing exactly
-    0 to value and gradient. Returns (loss_cnn, loss_vit, parts dict).
+    Outputs and labels are for one image or carry a leading batch axis;
+    every term is normalised per image, then averaged over the batch, and
+    the logged counts m_hat and m are batch means. Disabled or zero-weight
+    terms are never assembled, contributing exactly 0 to value and
+    gradient. Returns (loss_cnn, loss_vit, parts dict).
     """
-    l_ce_c, ce_map_c = pixel_ce(out_c.prediction, labels)
-    l_ce_v, ce_map_v = pixel_ce(out_v.prediction, labels)
+    per_batch = 1.0 / (labels.shape[0] if labels.ndim == 3 else 1)
+    # one log-softmax per student feeds both the CE and the pixel KL
+    logp_c = log_softmax(out_c.prediction, axis=-3)
+    logp_v = log_softmax(out_v.prediction, axis=-3)
+    l_ce_c, ce_map_c = pixel_ce(logp_c, labels)
+    l_ce_v, ce_map_v = pixel_ce(logp_v, labels)
     loss_c, loss_v = l_ce_c, l_ce_v
     parts = dict.fromkeys(("l_hfd_c", "l_hfd_v", "l_r_c", "l_r_v", "l_p_c", "l_p_v", "m_hat", "m"), 0.0)
     parts["l_ce_c"] = l_ce_c.item()
@@ -197,18 +205,18 @@ def total_objective(out_c, out_v, labels, params_c, params_v, adapters: AdapterS
         if tcfg.region_active:
             fl_c = apply_adapter(out_c.fl, adapters.cl)
             fl_v = apply_adapter(out_v.fl, adapters.vl)
-            grid = RegionGrid.for_shapes(labels.shape, fl_c.shape[1:])
+            grid = RegionGrid.for_shapes(labels.shape[-2:], fl_c.shape[-2:])
             region_mask = build_region_mask(region_ce(ce_map_c, grid), region_ce(ce_map_v, grid))
             lr_pair = region_loss(fl_c, fl_v, region_mask)
             parts["l_r_c"] = lr_pair[0].item()
             parts["l_r_v"] = lr_pair[1].item()
-            parts["m_hat"] = float(region_mask.count)
+            parts["m_hat"] = float(np.sum(region_mask.count)) * per_batch
         if tcfg.pixel_active:
             pixel_mask = build_pixel_mask(ce_map_c, ce_map_v)
-            lp_pair = pixel_loss(out_c.prediction, out_v.prediction, pixel_mask)
+            lp_pair = pixel_loss(logp_c, logp_v, pixel_mask)
             parts["l_p_c"] = lp_pair[0].item()
             parts["l_p_v"] = lp_pair[1].item()
-            parts["m"] = float(pixel_mask.count)
+            parts["m"] = float(np.sum(pixel_mask.count)) * per_batch
         l_bsd_c, l_bsd_v = bsd_loss(lr_pair, lp_pair, tcfg.alpha)
         loss_c = loss_c + tcfg.gamma * l_bsd_c
         loss_v = loss_v + tcfg.gamma * l_bsd_v
@@ -239,40 +247,42 @@ def make_train_state(acfg: ArchConfig, tcfg: TrainConfig) -> TrainState:
 
 
 def train_step(batch, state: TrainState, tcfg: TrainConfig) -> dict:
-    """One collaborative update on a list of (image, labels) samples."""
+    """One collaborative update on a list of (image, labels) samples,
+    forwarded as one stacked batch."""
     step = state.step + 1
     state.opt_c.zero_grad()
     state.opt_v.zero_grad()
-    total_c = total_v = None
-    sums: dict = {}
-    for image, labels in batch:
-        out_c = cnn_forward(Tensor(image), state.params_c, state.acfg)
-        out_v = vit_forward(Tensor(image), state.params_v, state.acfg)
-        loss_c, loss_v, parts = total_objective(out_c, out_v, labels, state.params_c, state.params_v, state.adapters, state.acfg, tcfg)
-        total_c = loss_c if total_c is None else total_c + loss_c
-        total_v = loss_v if total_v is None else total_v + loss_v
-        for key, value in parts.items():
-            sums[key] = sums.get(key, 0.0) + value
-    scale = 1.0 / len(batch)
-    means = {key: value * scale for key, value in sums.items()}
-    for name, value in means.items():
+    x = Tensor(np.stack([image for image, _ in batch]))
+    labels = np.stack([lab for _, lab in batch])
+    out_c = cnn_forward(x, state.params_c, state.acfg)
+    out_v = vit_forward(x, state.params_v, state.acfg)
+    loss_c, loss_v, parts = total_objective(out_c, out_v, labels, state.params_c, state.params_v, state.adapters, state.acfg, tcfg)
+    for name, value in parts.items():
         if not math.isfinite(value):
             raise TrainingError(f"non-finite {name} ({value}) at step {step}")
-    (total_c * scale).backward()
-    (total_v * scale).backward()
+    loss_c.backward()
+    loss_v.backward()
     state.opt_c.step()
     state.opt_v.step()
     state.step = step
-    return means
+    return parts
+
+
+# images per forward in evaluate: larger chunks raise peak memory (the
+# attention scores grow with the chunk) for little speed
+EVAL_CHUNK = 8
 
 
 def evaluate(params_c, params_v, acfg: ArchConfig, dataset):
-    """(mIoU of the CNN student, mIoU of the ViT student) on a dataset."""
+    """(mIoU of the CNN student, mIoU of the ViT student) on a dataset,
+    forwarded EVAL_CHUNK images at a time."""
     frozen_c, frozen_v = detach_params(params_c), detach_params(params_v)
     cm_c = ConfusionMatrix.empty(acfg.num_classes)
     cm_v = ConfusionMatrix.empty(acfg.num_classes)
-    for image, labels in dataset:
-        x = Tensor(image)
+    for i in range(0, len(dataset), EVAL_CHUNK):
+        chunk = dataset[i : i + EVAL_CHUNK]
+        x = Tensor(np.stack([image for image, _ in chunk]))
+        labels = np.stack([lab for _, lab in chunk])
         update_confusion(cm_c, predict_labels(cnn_forward(x, frozen_c, acfg).prediction), labels)
         update_confusion(cm_v, predict_labels(vit_forward(x, frozen_v, acfg).prediction), labels)
     return miou_from_confusion(cm_c), miou_from_confusion(cm_v)
@@ -306,10 +316,27 @@ def save_checkpoint(path, acfg: ArchConfig, params_c, params_v, adapters: Adapte
     write_archive(path, records)
 
 
+def _stored_params(path, blob, prefix, expected: StudentParams) -> StudentParams:
+    """The `prefix/` records of a checkpoint, named and shaped as `expected`."""
+    for name in blob:
+        if name.startswith(prefix + "/") and name[len(prefix) + 1 :] not in expected:
+            raise DataError(f"{path}: unexpected checkpoint record {name}")
+    params = {}
+    for name, init in expected.items():
+        stored = blob.get(f"{prefix}/{name}")
+        if stored is None:
+            raise DataError(f"{path}: checkpoint lacks record {prefix}/{name}")
+        if stored.shape != init.shape:
+            raise DataError(f"{path}: record {prefix}/{name} has shape {stored.shape}, expected {init.shape}")
+        params[name] = Tensor(stored, requires_grad=True)
+    return params
+
+
 def load_checkpoint(path):
     """(ArchConfig, CNN params, ViT params, AdapterSet) from a checkpoint.
 
-    A missing record or an invalid architecture raises DataError.
+    A missing, unexpected or wrong-shaped parameter record, or an invalid
+    architecture, raises DataError.
     """
     blob = read_archive(path)
     adapter_names = [f.name for f in fields(AdapterSet)]
@@ -326,8 +353,8 @@ def load_checkpoint(path):
         acfg = ArchConfig(**kwargs)
     except (ValueError, OverflowError) as exc:
         raise DataError(f"{path}: bad architecture config: {exc}") from exc
-    params_c = {k[4:]: Tensor(v, requires_grad=True) for k, v in blob.items() if k.startswith("cnn/")}
-    params_v = {k[4:]: Tensor(v, requires_grad=True) for k, v in blob.items() if k.startswith("vit/")}
+    params_c = _stored_params(path, blob, "cnn", init_cnn_params(acfg, np.random.default_rng(0)))
+    params_v = _stored_params(path, blob, "vit", init_vit_params(acfg, np.random.default_rng(0)))
     plan = derive_adapter_plan(acfg)
     adapters = AdapterSet(**{
         name: FeatureAdapter(

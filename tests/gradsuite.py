@@ -182,6 +182,64 @@ def op_checks():
         w = _frozen_weigh(rng, (2, 9, 7))
         return lambda: w(T.bilinear_upsample(x, (9, 7))), [x]
 
+    # batched forms: N=2 leading axis (a second one for matmul broadcasting)
+
+    @register("matmul_batched_shared_rhs")
+    def _(rng):
+        a, b = _leaf(rng, 2, 4, 5), _leaf(rng, 5, 3)
+        w = _frozen_weigh(rng, (2, 4, 3))
+        return lambda: w(T.matmul(a, b)), [a, b]
+
+    @register("matmul_batched_both")
+    def _(rng):
+        a, b = _leaf(rng, 2, 3, 4, 5), _leaf(rng, 2, 3, 5, 4)
+        w = _frozen_weigh(rng, (2, 3, 4, 4))
+        return lambda: w(T.matmul(a, b)), [a, b]
+
+    @register("matmul_broadcast_lhs")
+    def _(rng):
+        a, b = _leaf(rng, 4, 5), _leaf(rng, 2, 5, 3)
+        w = _frozen_weigh(rng, (2, 4, 3))
+        return lambda: w(T.matmul(a, b)), [a, b]
+
+    @register("conv2d_batched")
+    def _(rng):
+        x, k = _leaf(rng, 2, 2, 8, 8), _leaf(rng, 3, 2, 4, 4)
+        w = _frozen_weigh(rng, (2, 3, 4, 4))
+        return lambda: w(T.conv2d(x, k, stride=2, padding=1)), [x, k]
+
+    @register("avg_pool2d_batched")
+    def _(rng):
+        x = _leaf(rng, 2, 2, 6, 6)
+        w = _frozen_weigh(rng, (2, 2, 3, 3))
+        return lambda: w(T.avg_pool2d(x, 2)), [x]
+
+    @register("bilinear_upsample_batched")
+    def _(rng):
+        x = _leaf(rng, 2, 2, 4, 3)
+        w = _frozen_weigh(rng, (2, 2, 9, 7))
+        return lambda: w(T.bilinear_upsample(x, (9, 7))), [x]
+
+    @register("softmax_batched_class_axis")
+    def _(rng):
+        x = _leaf(rng, 2, 3, 2, 2)
+        w = _frozen_weigh(rng, (2, 3, 2, 2))
+        return lambda: w(T.softmax(x, axis=-3)), [x]
+
+    @register("log_softmax_batched_class_axis")
+    def _(rng):
+        x = _leaf(rng, 2, 3, 2, 2)
+        w = _frozen_weigh(rng, (2, 3, 2, 2))
+        return lambda: w(T.log_softmax(x, axis=-3)), [x]
+
+    @register("layer_norm_batched")
+    def _(rng):
+        x = _leaf(rng, 2, 4, 6)
+        g = T.Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True)
+        b = _leaf(rng, 6)
+        w = _frozen_weigh(rng, (2, 4, 6))
+        return lambda: w(T.layer_norm(x, g, b, axis=-1)), [x, g, b]
+
     @register("detach_mixed_path")
     def _(rng):
         a, b = _leaf(rng, 3, 3), _leaf(rng, 3, 3)

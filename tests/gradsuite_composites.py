@@ -12,7 +12,7 @@ from codistill.bsd import RegionGrid, build_pixel_mask, build_region_mask, pixel
 from codistill.hfd import apply_adapter, hfd_loss_cnn, hfd_loss_vit, init_adapters
 from codistill.losses import pixel_ce
 from codistill.students import ArchConfig, cnn_forward, init_cnn_params, init_vit_params, vit_forward
-from codistill.tensor import Tensor
+from codistill.tensor import Tensor, log_softmax
 
 TINY = ArchConfig(input_hw=(16, 16), num_classes=3, cnn_channels=(3, 4, 5), vit_dims=(4, 6, 8), patch_size=2, num_heads=2)
 
@@ -31,8 +31,8 @@ class Scene:
         return cnn_forward(self.x, self.params_c, TINY), vit_forward(self.x, self.params_v, TINY)
 
     def region_pieces(self, out_c, out_v):
-        _, map_c = pixel_ce(out_c.prediction, self.labels)
-        _, map_v = pixel_ce(out_v.prediction, self.labels)
+        _, map_c = pixel_ce(log_softmax(out_c.prediction, axis=-3), self.labels)
+        _, map_v = pixel_ce(log_softmax(out_v.prediction, axis=-3), self.labels)
         fl_c = apply_adapter(out_c.fl, self.adapters.cl)
         fl_v = apply_adapter(out_v.fl, self.adapters.vl)
         grid = RegionGrid.for_shapes(self.labels.shape, fl_c.shape[1:])
@@ -41,7 +41,7 @@ class Scene:
 
     def objective(self, student):
         out_c, out_v = self.forward()
-        ce, _ = pixel_ce((out_c if student == "c" else out_v).prediction, self.labels)
+        ce, _ = pixel_ce(log_softmax((out_c if student == "c" else out_v).prediction, axis=-3), self.labels)
         if student == "c":
             hfd = hfd_loss_cnn(out_c.f1, self.adapters.c1, self.params_v, TINY, out_v.f2)
         else:
@@ -49,7 +49,7 @@ class Scene:
         fl_c, fl_v, rmask, map_c, map_v = self.region_pieces(out_c, out_v)
         lr_c, lr_v = region_loss(fl_c, fl_v, rmask)
         pmask = build_pixel_mask(map_c, map_v)
-        lp_c, lp_v = pixel_loss(out_c.prediction, out_v.prediction, pmask)
+        lp_c, lp_v = pixel_loss(log_softmax(out_c.prediction, axis=-3), log_softmax(out_v.prediction, axis=-3), pmask)
         if student == "c":
             return ce + 0.1 * hfd + 1.0 * (lr_c + 1.0 * lp_c)
         return ce + 0.1 * hfd + 1.0 * (lr_v + 1.0 * lp_v)
@@ -69,12 +69,12 @@ def composite_checks():
     def l_ce_cnn(seed):
         scene = Scene(seed)
         leaves = _cnn_trunk(scene) + [scene.params_c["head_w"], scene.params_c["head_b"]]
-        return (lambda: pixel_ce(cnn_forward(scene.x, scene.params_c, TINY).prediction, scene.labels)[0]), leaves
+        return (lambda: pixel_ce(log_softmax(cnn_forward(scene.x, scene.params_c, TINY).prediction, axis=-3), scene.labels)[0]), leaves
 
     def l_ce_vit(seed):
         scene = Scene(seed)
         leaves = _vit_trunk(scene) + [scene.params_v["head_w"], scene.params_v["s3_wv"]]
-        return (lambda: pixel_ce(vit_forward(scene.x, scene.params_v, TINY).prediction, scene.labels)[0]), leaves
+        return (lambda: pixel_ce(log_softmax(vit_forward(scene.x, scene.params_v, TINY).prediction, axis=-3), scene.labels)[0]), leaves
 
     def l_hfd_cnn(seed):
         scene = Scene(seed)
@@ -113,10 +113,10 @@ def composite_checks():
 
         def build():
             out_c, out_v = scene.forward()
-            _, map_c = pixel_ce(out_c.prediction, scene.labels)
-            _, map_v = pixel_ce(out_v.prediction, scene.labels)
+            _, map_c = pixel_ce(log_softmax(out_c.prediction, axis=-3), scene.labels)
+            _, map_v = pixel_ce(log_softmax(out_v.prediction, axis=-3), scene.labels)
             mask = build_pixel_mask(map_c, map_v)
-            return pixel_loss(out_c.prediction, out_v.prediction, mask)[0 if side == "c" else 1]
+            return pixel_loss(log_softmax(out_c.prediction, axis=-3), log_softmax(out_v.prediction, axis=-3), mask)[0 if side == "c" else 1]
 
         leaves = (_cnn_trunk(scene) + [scene.params_c["head_w"]]) if side == "c" else (_vit_trunk(scene) + [scene.params_v["head_w"]])
         return build, leaves

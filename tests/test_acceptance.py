@@ -25,7 +25,7 @@ from codistill.data import SynthSpec, generate_dataset
 from codistill.hfd import FeatureAdapter, hfd_loss_cnn, hfd_loss_vit
 from codistill.losses import IGNORE_LABEL, pixel_ce
 from codistill.students import ArchConfig, cnn_forward, init_cnn_params, init_vit_params, vit_forward
-from codistill.tensor import Tensor, zero_grads
+from codistill.tensor import Tensor, log_softmax, zero_grads
 from codistill.trainer import TrainConfig, make_train_state, run_training, total_objective
 
 from gradcheck import check_grads
@@ -93,8 +93,8 @@ def test_criterion_2_mask_oracles():
         logits_v = rng.standard_normal((k, h, w)) * 2
         labels = rng.integers(0, k, (h, w))
         labels[rng.random((h, w)) < 0.08] = IGNORE_LABEL
-        _, map_c = pixel_ce(Tensor(logits_c), labels)
-        _, map_v = pixel_ce(Tensor(logits_v), labels)
+        _, map_c = pixel_ce(log_softmax(Tensor(logits_c), axis=-3), labels)
+        _, map_v = pixel_ce(log_softmax(Tensor(logits_v), axis=-3), labels)
 
         grid = RegionGrid.for_shapes((h, w), (rows, cols))
         ce_c, ce_v = region_ce(map_c, grid), region_ce(map_v, grid)
@@ -115,7 +115,7 @@ def test_criterion_2_mask_oracles():
         for got, exp in ((lr_c.item(), exp_c), (lr_v.item(), exp_v)):
             assert abs(got - exp) <= 1e-9 * max(abs(exp), 1e-12)
 
-        lp_c, lp_v = pixel_loss(Tensor(logits_c), Tensor(logits_v), pmask)
+        lp_c, lp_v = pixel_loss(log_softmax(Tensor(logits_c), axis=-3), log_softmax(Tensor(logits_v), axis=-3), pmask)
         exp_c, exp_v = bf_pixel_losses(logits_c, logits_v, pmask.values, pmask.valid)
         for got, exp in ((lp_c.item(), exp_c), (lp_v.item(), exp_v)):
             assert abs(got - exp) <= 1e-9 * max(abs(exp), 1e-12)
@@ -141,10 +141,10 @@ def test_criterion_3_degenerate_masks():
         ]
         for lc, lv, lab in variants:
             pc, pv = Tensor(lc, requires_grad=True), Tensor(lv, requires_grad=True)
-            _, map_c = pixel_ce(pc, lab)
-            _, map_v = pixel_ce(pv, lab)
+            _, map_c = pixel_ce(log_softmax(pc, axis=-3), lab)
+            _, map_v = pixel_ce(log_softmax(pv, axis=-3), lab)
             pmask = build_pixel_mask(map_c, map_v)
-            lp_c, lp_v = pixel_loss(pc, pv, pmask)
+            lp_c, lp_v = pixel_loss(log_softmax(pc, axis=-3), log_softmax(pv, axis=-3), pmask)
             grid = RegionGrid.for_shapes((h, w), (rows, cols))
             rmask = build_region_mask(region_ce(map_c, grid), region_ce(map_v, grid))
             fc = Tensor(rng.standard_normal((4, rows, cols)), requires_grad=True)
@@ -168,7 +168,7 @@ def test_criterion_3_degenerate_masks():
         for count in (0, h * w):
             values = np.full((h, w), 1.0 if count else 0.0)
             mask = DirectionMask(values=values, valid=np.ones((h, w), bool), count=count)
-            lp_c, lp_v = pixel_loss(Tensor(logits), Tensor(rng.standard_normal((k, h, w))), mask)
+            lp_c, lp_v = pixel_loss(log_softmax(Tensor(logits), axis=-3), log_softmax(Tensor(rng.standard_normal((k, h, w))), axis=-3), mask)
             assert math.isfinite(lp_c.item()) and math.isfinite(lp_v.item())
             cases += 1
     report(3, cases >= 100, f"{cases} adversarial degenerate cases, all losses finite under the zero-term rule")
@@ -227,7 +227,7 @@ def test_criterion_5_definitional_zeros():
     mask.values[0, 0] = 1.0
     object.__setattr__(mask, "count", 1)
     same = Tensor(rng.standard_normal((3, 16, 16)))
-    lp_c, lp_v = pixel_loss(same, Tensor(same.data.copy()), DirectionMask(values=np.ones((16, 16)), valid=np.ones((16, 16), bool), count=256))
+    lp_c, lp_v = pixel_loss(log_softmax(same, axis=-3), log_softmax(Tensor(same.data.copy()), axis=-3), DirectionMask(values=np.ones((16, 16)), valid=np.ones((16, 16), bool), count=256))
     feats = Tensor(rng.standard_normal((5, 4, 4)))
     lr_c, lr_v = region_loss(feats, Tensor(feats.data.copy()), mask)
 

@@ -20,13 +20,13 @@ from codistill.bsd import (
 from codistill.errors import ConfigError
 from codistill.losses import IGNORE_LABEL, PixelCEMap, pixel_ce
 from codistill.recordio import read_archive
-from codistill.tensor import Tensor, zero_grads
+from codistill.tensor import Tensor, log_softmax, zero_grads
 
 from oracles import bf_cosine_map, bf_direction_mask, bf_masked_means, bf_pixel_losses, bf_region_ce
 
 
 def ce_map_of(logits, labels):
-    return pixel_ce(Tensor(logits), labels)[1]
+    return pixel_ce(log_softmax(Tensor(logits), axis=-3), labels)[1]
 
 
 def random_mask(rng, h, w, valid=None):
@@ -197,7 +197,7 @@ class TestPixelLoss:
         p = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
         q = Tensor(p.data.copy(), requires_grad=True)
         mask = random_mask(rng, 4, 4)
-        lc, lv = pixel_loss(p, q, mask)
+        lc, lv = pixel_loss(log_softmax(p, axis=-3), log_softmax(q, axis=-3), mask)
         assert lc.item() == 0.0 and lv.item() == 0.0
 
     def test_empty_cnn_side_exact_zero(self):
@@ -205,7 +205,7 @@ class TestPixelLoss:
         p = Tensor(rng.standard_normal((3, 4, 4)))
         q = Tensor(rng.standard_normal((3, 4, 4)))
         mask = DirectionMask(values=np.zeros((4, 4)), valid=np.ones((4, 4), bool), count=0)
-        _, lv = pixel_loss(p, q, mask)
+        _, lv = pixel_loss(log_softmax(p, axis=-3), log_softmax(q, axis=-3), mask)
         assert lv.item() == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -215,7 +215,7 @@ class TestPixelLoss:
         q = Tensor(rng.standard_normal((4, 5, 5)) * 2)
         valid = rng.random((5, 5)) > 0.1
         mask = random_mask(rng, 5, 5, valid)
-        lc, lv = pixel_loss(p, q, mask)
+        lc, lv = pixel_loss(log_softmax(p, axis=-3), log_softmax(q, axis=-3), mask)
         exp_c, exp_v = bf_pixel_losses(p.data, q.data, mask.values, valid)
         np.testing.assert_allclose(lc.item(), exp_c, rtol=1e-9)
         np.testing.assert_allclose(lv.item(), exp_v, rtol=1e-9)
@@ -225,7 +225,7 @@ class TestPixelLoss:
         p = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
         q = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
         mask = random_mask(rng, 4, 4)
-        lc, lv = pixel_loss(p, q, mask)
+        lc, lv = pixel_loss(log_softmax(p, axis=-3), log_softmax(q, axis=-3), mask)
         zero_grads([p, q])
         lc.backward()
         assert p.grad is not None and q.grad is None
@@ -318,7 +318,7 @@ class TestSelectiveProperties:
         for ones in (0, 36):
             values = np.zeros((6, 6)) if ones == 0 else np.ones((6, 6))
             mask = DirectionMask(values=values, valid=np.ones((6, 6), bool), count=ones)
-            lc, lv = pixel_loss(pc, pv, mask)
+            lc, lv = pixel_loss(log_softmax(pc, axis=-3), log_softmax(pv, axis=-3), mask)
             assert math.isfinite(lc.item()) and math.isfinite(lv.item())
             total = lc + lv
             zero_grads([pc, pv])

@@ -8,7 +8,7 @@ from codistill.recordio import read_archive, write_archive
 from codistill.losses import pixel_ce
 from codistill.seeding import substream
 from codistill.students import ArchConfig, cnn_forward, init_cnn_params, init_vit_params, vit_forward
-from codistill.tensor import Tensor, zero_grads
+from codistill.tensor import Tensor, log_softmax, zero_grads
 from codistill.trainer import (
     AdamW,
     AdamWConfig,
@@ -117,7 +117,7 @@ class TestTrain:
                 zero_grads(params.values())
                 total = None
                 for image, labels in batch_samples:
-                    loss, _ = pixel_ce(forward(Tensor(image), params, acfg).prediction, labels)
+                    loss, _ = pixel_ce(log_softmax(forward(Tensor(image), params, acfg).prediction, axis=-3), labels)
                     total = loss if total is None else total + loss
                 (total * (1.0 / batch)).backward()
                 opt.step()
@@ -232,7 +232,7 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(out / "ckpt_final.bin"), "--data", str(big)]) == 2
         assert "32x32" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["cut_10", "cut_1000", "drop_config/num_classes"])
+    @pytest.mark.parametrize("damage", ["cut_10", "cut_1000", "drop_config/num_classes", "drop_cnn/head_b", "shrink_vit/s1_wq"])
     def test_damaged_checkpoint_exits_2(self, dataset_dir, tmp_path, capsys, damage):
         out = tmp_path / "run"
         assert main(train_args(dataset_dir, out, steps=1)) == 0
@@ -240,6 +240,8 @@ class TestEval:
         kind, arg = damage.split("_", 1)
         if kind == "cut":
             ckpt.write_bytes(ckpt.read_bytes()[: int(arg)])
+        elif kind == "shrink":
+            write_archive(ckpt, [(name, arr[:-1] if name == arg else arr) for name, arr in read_archive(ckpt).items()])
         else:
             write_archive(ckpt, [(name, arr) for name, arr in read_archive(ckpt).items() if name != arg])
         capsys.readouterr()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from codistill.errors import DataError
 from codistill.losses import IGNORE_LABEL, cosine_distance, kl_map, mean_cosine_distance, pixel_ce
-from codistill.tensor import Tensor
+from codistill.tensor import Tensor, log_softmax
 
 from gradcheck import check_grads
 
@@ -35,12 +35,12 @@ class TestPixelCE:
         for i in range(4):
             for j in range(4):
                 logits[labels[i, j], i, j] = 50.0
-        scalar, _ = pixel_ce(Tensor(logits), labels)
+        scalar, _ = pixel_ce(log_softmax(Tensor(logits), axis=-3), labels)
         assert scalar.item() < 1e-6
 
     def test_uniform_logits_give_log_k(self):
         labels = np.zeros((5, 5), dtype=int)
-        scalar, ce_map = pixel_ce(Tensor(np.ones((4, 5, 5))), labels)
+        scalar, ce_map = pixel_ce(log_softmax(Tensor(np.ones((4, 5, 5))), axis=-3), labels)
         np.testing.assert_allclose(scalar.item(), math.log(4), rtol=1e-12)
         np.testing.assert_allclose(ce_map.values, math.log(4), rtol=1e-12)
 
@@ -50,7 +50,7 @@ class TestPixelCE:
         logits = rng.standard_normal((3, 4, 4)) * 3
         labels = rng.integers(0, 3, (4, 4))
         labels[0, 0] = IGNORE_LABEL
-        scalar, ce_map = pixel_ce(Tensor(logits), labels)
+        scalar, ce_map = pixel_ce(log_softmax(Tensor(logits), axis=-3), labels)
         expect = brute_force_ce(logits, labels)
         np.testing.assert_allclose(ce_map.values, expect, rtol=1e-10)
         np.testing.assert_allclose(scalar.item(), expect.sum() / (16 - 1), rtol=1e-10)
@@ -60,16 +60,16 @@ class TestPixelCE:
         rng = np.random.default_rng(3)
         logits = rng.standard_normal((4, 6, 6))
         labels = rng.integers(0, 4, (6, 6))
-        base, _ = pixel_ce(Tensor(logits), labels)
-        shifted, _ = pixel_ce(Tensor(logits + rng.standard_normal((1, 6, 6))), labels)
+        base, _ = pixel_ce(log_softmax(Tensor(logits), axis=-3), labels)
+        shifted, _ = pixel_ce(log_softmax(Tensor(logits + rng.standard_normal((1, 6, 6))), axis=-3), labels)
         assert abs(base.item() - shifted.item()) < 1e-9
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(DataError, match="label 7"):
-            pixel_ce(Tensor(np.zeros((3, 2, 2))), np.full((2, 2), 7))
+            pixel_ce(log_softmax(Tensor(np.zeros((3, 2, 2))), axis=-3), np.full((2, 2), 7))
 
     def test_all_ignore_gives_zero(self):
-        scalar, ce_map = pixel_ce(Tensor(np.zeros((3, 2, 2))), np.full((2, 2), IGNORE_LABEL))
+        scalar, ce_map = pixel_ce(log_softmax(Tensor(np.zeros((3, 2, 2))), axis=-3), np.full((2, 2), IGNORE_LABEL))
         assert scalar.item() == 0.0
         assert not ce_map.valid.any()
 
@@ -77,7 +77,7 @@ class TestPixelCE:
         rng = np.random.default_rng(4)
         logits = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
         labels = rng.integers(0, 3, (4, 4))
-        check_grads(lambda: pixel_ce(logits, labels)[0], [logits], label="pixel_ce")
+        check_grads(lambda: pixel_ce(log_softmax(logits, axis=-3), labels)[0], [logits], label="pixel_ce")
 
 
 class TestCosineDistance:
@@ -128,18 +128,18 @@ class TestCosineDistance:
 
 
 class TestKLDiv:
-    """kl_map: per-pixel KL(softmax(p) || softmax(q)) over the class axis of K×H×W logits."""
+    """kl_map: per-pixel KL(p || q) over the class axis, fed log_softmax of K×H×W logits."""
 
     def test_identical_logits_zero(self):
         x = Tensor(np.random.default_rng(0).standard_normal((3, 2, 4)))
-        out = kl_map(x, x).data
+        out = kl_map(log_softmax(x, axis=-3), log_softmax(x, axis=-3)).data
         assert out.shape == (2, 4)
         assert np.all(out == 0.0)
 
     def test_near_one_hot_vs_uniform_is_log2(self):
         p = Tensor(np.array([50.0, 0.0]).reshape(2, 1, 1))
         q = Tensor(np.zeros((2, 1, 1)))
-        assert abs(kl_map(p, q).item() - math.log(2)) < 1e-3
+        assert abs(kl_map(log_softmax(p, axis=-3), log_softmax(q, axis=-3)).item() - math.log(2)) < 1e-3
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
@@ -154,14 +154,14 @@ class TestKLDiv:
                 sq = np.exp(q[:, i, j] - q[:, i, j].max())
                 sq /= sq.sum()
                 expect[i, j] = (sp * (np.log(sp) - np.log(sq))).sum()
-        np.testing.assert_allclose(kl_map(Tensor(p), Tensor(q)).data, expect, rtol=1e-10)
+        np.testing.assert_allclose(kl_map(log_softmax(Tensor(p), axis=-3), log_softmax(Tensor(q), axis=-3)).data, expect, rtol=1e-10)
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             p = Tensor(rng.standard_normal((4, 2, 3)) * 3)
             q = Tensor(rng.standard_normal((4, 2, 3)) * 3)
-            assert np.all(kl_map(p, q).data > 0.0)
+            assert np.all(kl_map(log_softmax(p, axis=-3), log_softmax(q, axis=-3)).data > 0.0)
 
     def test_gradient(self):
         rng = np.random.default_rng(9)
@@ -169,4 +169,4 @@ class TestKLDiv:
         q = Tensor(rng.standard_normal((5, 2, 3)), requires_grad=True)
         # distinct per-pixel weights, so a gradient routed to the wrong pixel shows
         w = Tensor(rng.uniform(0.5, 2.0, (2, 3)))
-        check_grads(lambda: (kl_map(p, q) * w).sum(), [p, q], label="kl_map")
+        check_grads(lambda: (kl_map(log_softmax(p, axis=-3), log_softmax(q, axis=-3)) * w).sum(), [p, q], label="kl_map")

@@ -18,7 +18,7 @@ from codistill.students import (
     vit_forward,
     vit_second_stage,
 )
-from codistill.tensor import ShapeError, Tensor, softmax
+from codistill.tensor import ShapeError, Tensor, log_softmax, softmax
 
 from gradcheck import check_grads
 
@@ -79,7 +79,7 @@ class TestCnnForward:
         labels = rng.integers(0, 3, (8, 8))
 
         def build():
-            return pixel_ce(cnn_forward(x, params, MICRO).prediction, labels)[0]
+            return pixel_ce(log_softmax(cnn_forward(x, params, MICRO).prediction, axis=-3), labels)[0]
 
         check_grads(build, params.values(), rtol=1e-4, max_elems=4, rng=rng, label="cnn_ce")
 
@@ -106,7 +106,7 @@ class TestVitForward:
         labels = rng.integers(0, 3, (8, 8))
 
         def build():
-            return pixel_ce(vit_forward(x, params, MICRO).prediction, labels)[0]
+            return pixel_ce(log_softmax(vit_forward(x, params, MICRO).prediction, axis=-3), labels)[0]
 
         check_grads(build, params.values(), rtol=1e-4, max_elems=3, rng=rng, label="vit_ce")
 
@@ -192,6 +192,23 @@ class TestSharedBlocks:
             return (mlp_block(f, params_c) * w).sum()
 
         check_grads(build, [f, params_c["conv2_w"], params_c["conv2_b"]], rtol=1e-4, max_elems=24, rng=rng, label="mlp_block")
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize("forward", [cnn_forward, vit_forward], ids=["cnn", "vit"])
+    def test_batched_forward_matches_per_image(self, default_pair, forward):
+        params = default_pair[0] if forward is cnn_forward else default_pair[1]
+        x = np.random.default_rng(3).uniform(0.0, 1.0, (3, 3, 32, 32))
+        batched = forward(Tensor(x), params, DEFAULT)
+        for i in range(3):
+            single = forward(Tensor(x[i]), params, DEFAULT)
+            for name in ("prediction", "f1", "f2", "fl"):
+                got, want = getattr(batched, name).data[i], getattr(single, name).data
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=name)
+
+    def test_batched_input_shape_checked(self, default_pair):
+        with pytest.raises(ShapeError, match="3×32×32"):
+            vit_forward(Tensor(np.zeros((2, 3, 16, 16))), default_pair[1], DEFAULT)
 
 
 class TestBudgetAndDeterminism:

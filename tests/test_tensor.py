@@ -101,6 +101,57 @@ class TestDetach:
         np.testing.assert_array_equal(x.detach().detach().data, x.detach().data)
 
 
+class TestDeadGradients:
+    """Backward closures skip parents that take no gradient."""
+
+    def test_conv2d_untracked_input_gets_none(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 3, 8, 8))
+        w = Tensor(rng.standard_normal((4, 3, 4, 4)), requires_grad=True)
+        g = rng.standard_normal((2, 4, 4, 4))
+        gx, gw = T.conv2d(Tensor(x), w, stride=2, padding=1)._backward(g)
+        gx_live, gw_live = T.conv2d(Tensor(x, requires_grad=True), w, stride=2, padding=1)._backward(g)
+        assert gx is None and gx_live.shape == x.shape
+        np.testing.assert_array_equal(gw, gw_live)
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div, T.matmul])
+    def test_binary_ops_skip_untracked_operand(self, op):
+        rng = np.random.default_rng(12)
+        a = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        b = Tensor(rng.uniform(0.5, 2.0, (3, 3)))
+        g = rng.standard_normal((3, 3))
+        ga, gb = op(a, b)._backward(g)
+        assert gb is None
+        np.testing.assert_array_equal(ga, op(a, Tensor(b.data, requires_grad=True))._backward(g)[0])
+        assert op(b, a)._backward(g)[0] is None
+
+
+class TestBatchAxis:
+    """A leading batch axis gives each image what it gets on its own."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda t, w: T.conv2d(t, w, stride=2, padding=1),
+            lambda t, w: T.avg_pool2d(t, 2),
+            lambda t, w: T.bilinear_upsample(t, (11, 5)),
+            lambda t, w: T.log_softmax(t, axis=-3),
+        ],
+        ids=["conv2d", "avg_pool2d", "bilinear_upsample", "log_softmax"],
+    )
+    def test_stencils_per_image(self, op):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((3, 2, 6, 6))
+        w = Tensor(rng.standard_normal((4, 2, 4, 4)))
+        batched = op(Tensor(x), w).data
+        for i in range(3):
+            np.testing.assert_allclose(batched[i], op(Tensor(x[i]), w).data, rtol=1e-13, atol=1e-15)
+
+    def test_matmul_leading_axes_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 4, 5\).*\(3, 5, 2\)"):
+            T.matmul(Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((3, 5, 2))))
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.random.default_rng(5).standard_normal((2, 3)), requires_grad=True)

@@ -7,10 +7,11 @@ from codistill.data import SynthSpec, generate_dataset
 from codistill.errors import ConfigError, DataError, TrainingError
 from codistill.hfd import apply_adapter, hfd_loss_cnn
 from codistill.bsd import RegionGrid, build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
-from codistill.losses import pixel_ce
+from codistill import trainer
+from codistill.losses import IGNORE_LABEL, pixel_ce
 from codistill.recordio import read_archive, write_archive
-from codistill.students import ArchConfig, cnn_forward, vit_forward
-from codistill.tensor import Tensor, zero_grads
+from codistill.students import ArchConfig, StudentOutputs, cnn_forward, vit_forward
+from codistill.tensor import Tensor, log_softmax, zero_grads
 from codistill.trainer import (
     AdamW,
     AdamWConfig,
@@ -110,8 +111,8 @@ class TestTotalObjective:
         image, labels = dataset[0]
         out_c, out_v = self._outputs(state, image)
         loss_c, loss_v, parts = total_objective(out_c, out_v, labels, state.params_c, state.params_v, state.adapters, MICRO, tcfg)
-        ce_c, _ = pixel_ce(out_c.prediction, labels)
-        ce_v, _ = pixel_ce(out_v.prediction, labels)
+        ce_c, _ = pixel_ce(log_softmax(out_c.prediction, axis=-3), labels)
+        ce_v, _ = pixel_ce(log_softmax(out_v.prediction, axis=-3), labels)
         assert loss_c.item() == ce_c.item()
         assert loss_v.item() == ce_v.item()
         assert parts["l_hfd_c"] == 0.0 and parts["l_r_c"] == 0.0 and parts["l_p_c"] == 0.0
@@ -136,8 +137,8 @@ class TestTotalObjective:
         out_c, out_v = self._outputs(state, image)
         loss_c, _, _ = total_objective(out_c, out_v, labels, state.params_c, state.params_v, state.adapters, MICRO, tcfg)
 
-        ce_c, map_c = pixel_ce(out_c.prediction, labels)
-        _, map_v = pixel_ce(out_v.prediction, labels)
+        ce_c, map_c = pixel_ce(log_softmax(out_c.prediction, axis=-3), labels)
+        _, map_v = pixel_ce(log_softmax(out_v.prediction, axis=-3), labels)
         hfd_c = hfd_loss_cnn(out_c.f1, state.adapters.c1, state.params_v, MICRO, out_v.f2)
         fl_c = apply_adapter(out_c.fl, state.adapters.cl)
         fl_v = apply_adapter(out_v.fl, state.adapters.vl)
@@ -145,9 +146,45 @@ class TestTotalObjective:
         rmask = build_region_mask(region_ce(map_c, grid), region_ce(map_v, grid))
         lr_c, _ = region_loss(fl_c, fl_v, rmask)
         pmask = build_pixel_mask(map_c, map_v)
-        lp_c, _ = pixel_loss(out_c.prediction, out_v.prediction, pmask)
+        lp_c, _ = pixel_loss(log_softmax(out_c.prediction, axis=-3), log_softmax(out_v.prediction, axis=-3), pmask)
         expect = ce_c.item() + 0.3 * hfd_c.item() + 1.3 * (lr_c.item() + 0.7 * lp_c.item())
         np.testing.assert_allclose(loss_c.item(), expect, rtol=1e-12)
+
+
+class TestBatchedObjective:
+    def test_batch_is_mean_of_per_image_objectives(self, dataset):
+        """Every term is normalised per image, then averaged over the batch;
+        the counts are per image, and an empty set contributes exactly 0."""
+        tcfg = micro_tcfg(alpha=0.7, beta=0.3, gamma=1.3)
+        state = make_train_state(MICRO, tcfg)
+        x = Tensor(np.stack([image for image, _ in dataset[:3]]))
+        labels = np.stack([lab for _, lab in dataset[:3]])
+        labels[1] = IGNORE_LABEL  # no valid pixel: CE and both pixel directions empty
+        out_c = cnn_forward(x, state.params_c, MICRO)
+        out_v = vit_forward(x, state.params_v, MICRO)
+        # image 2: the CNN predicts exactly what the ViT does, so it wins no
+        # region and no pixel (ties go to the ViT)
+        pred_c = out_c.prediction.data.copy()
+        pred_c[2] = out_v.prediction.data[2]
+        out_c = StudentOutputs(prediction=Tensor(pred_c), f1=out_c.f1, f2=out_c.f2, fl=out_c.fl)
+        args = (state.params_c, state.params_v, state.adapters, MICRO, tcfg)
+        loss_c, loss_v, parts = total_objective(out_c, out_v, labels, *args)
+
+        def image(out, i):
+            return StudentOutputs(*(Tensor(getattr(out, name).data[i]) for name in ("prediction", "f1", "f2", "fl")))
+
+        singles = [total_objective(image(out_c, i), image(out_v, i), labels[i], *args) for i in range(3)]
+        assert singles[1][2]["l_ce_c"] == 0.0 and singles[1][2]["m"] == 0.0
+        assert singles[2][2]["m_hat"] == 0.0 and singles[2][2]["m"] == 0.0
+        assert singles[2][2]["l_r_v"] == 0.0 and singles[2][2]["l_p_v"] == 0.0
+        np.testing.assert_allclose(loss_c.item(), np.mean([s[0].item() for s in singles]), rtol=1e-12)
+        np.testing.assert_allclose(loss_v.item(), np.mean([s[1].item() for s in singles]), rtol=1e-12)
+        for key, value in parts.items():
+            per_image = [s[2][key] for s in singles]
+            if key in ("m_hat", "m"):
+                assert value == sum(per_image) * (1.0 / 3)
+            else:
+                np.testing.assert_allclose(value, np.mean(per_image), rtol=1e-12, err_msg=key)
 
 
 class TestTrainStep:
@@ -305,6 +342,32 @@ class TestRunTraining:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("drop cnn/head_b", "lacks record cnn/head_b"),
+            ("drop vit/s3_ffn_w2", "lacks record vit/s3_ffn_w2"),
+            ("shrink vit/s1_wq", "record vit/s1_wq has shape (5, 6), expected (6, 6)"),
+            ("shrink cnn/conv1_w", "record cnn/conv1_w has shape (3, 3, 4, 4), expected (4, 3, 4, 4)"),
+            ("add cnn/extra_w", "unexpected checkpoint record cnn/extra_w"),
+        ],
+        ids=["drop-cnn", "drop-vit", "shrink-vit", "shrink-cnn", "extra-cnn"],
+    )
+    def test_parameter_records_checked_against_architecture(self, tmp_path, damage, message):
+        state = make_train_state(MICRO, micro_tcfg())
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, MICRO, state.params_c, state.params_v, state.adapters)
+        kind, target = damage.split()
+        records = [(n, arr) for n, arr in read_archive(path).items() if not (kind == "drop" and n == target)]
+        if kind == "shrink":
+            records = [(n, arr[:-1] if n == target else arr) for n, arr in records]
+        if kind == "add":
+            records.append((target, np.zeros(3)))
+        write_archive(path, records)
+        with pytest.raises(DataError) as err:
+            load_checkpoint(path)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
         "name, value",
         [("config/input_hw", [16.0, 16.0, 16.0]), ("config/num_classes", [3.0, 3.0]), ("config/num_heads", [float("nan")]), ("config/ffn_ratio", [float("inf")]), ("config/num_classes", [1.0])],
     )
@@ -315,6 +378,14 @@ class TestRunTraining:
         write_archive(path, [(n, np.array(value) if n == name else arr) for n, arr in read_archive(path).items()])
         with pytest.raises(DataError, match="bad architecture config"):
             load_checkpoint(path)
+
+    def test_evaluate_independent_of_chunk_size(self, dataset, monkeypatch):
+        state = make_train_state(MICRO, micro_tcfg())
+        results = set()
+        for chunk in (1, 3, 8):
+            monkeypatch.setattr(trainer, "EVAL_CHUNK", chunk)
+            results.add(evaluate(state.params_c, state.params_v, MICRO, dataset))
+        assert len(results) == 1
 
     def test_evaluate_on_identical_params_is_deterministic(self, dataset):
         tcfg = micro_tcfg(steps=1)
