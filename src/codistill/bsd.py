@@ -138,8 +138,6 @@ def pixel_loss(logp_cnn: Tensor, logp_vit: Tensor, mask: DirectionMask):
 
 def bsd_loss(region_pair, pixel_pair, alpha: float):
     """Combine the region and pixel terms per student with weight alpha."""
-    if alpha < 0:
-        raise ConfigError(f"alpha must be non-negative, got {alpha}")
     lr_c, lr_v = region_pair
     lp_c, lp_v = pixel_pair
     return lr_c + alpha * lp_c, lr_v + alpha * lp_v

@@ -68,23 +68,6 @@ def apply_adapter(f: Tensor, adapter: FeatureAdapter) -> Tensor:
     return out
 
 
-@dataclass(frozen=True)
-class AdapterPlan:
-    """Derived geometry of the four adapters for a config pair.
-
-    c1/v1 reshape first features across students; cl/vl reshape last
-    features onto the shared region grid (common channels = the CNN's
-    last channel count, common spatial = the ViT's last-stage grid).
-    """
-
-    c1: tuple  # (c_in, c_out, pool)
-    v1: tuple
-    cl: tuple
-    vl: tuple
-    region_hw: tuple
-    region_channels: int
-
-
 def _pool_factor(src_hw, dst_hw, what):
     if src_hw[0] < dst_hw[0] or src_hw[1] < dst_hw[1]:
         raise ConfigError(f"{what}: cannot pool {src_hw} down to larger grid {dst_hw}")
@@ -94,21 +77,6 @@ def _pool_factor(src_hw, dst_hw, what):
     if ph != pw:
         raise ConfigError(f"{what}: anisotropic pooling {ph}x{pw} not supported")
     return ph
-
-
-def derive_adapter_plan(cfg: ArchConfig) -> AdapterPlan:
-    c1, _, c3 = cfg.cnn_channels
-    d1, _, d3 = cfg.vit_dims
-    f1c, f1v = cfg.cnn_feature_hw("f1"), cfg.vit_feature_hw("f1")
-    flc, flv = cfg.cnn_feature_hw("fl"), cfg.vit_feature_hw("fl")
-    return AdapterPlan(
-        c1=(c1, d1, _pool_factor(f1c, f1v, "first-feature adapter (cnn->vit)")),
-        v1=(d1, c1, _pool_factor(f1v, f1c, "first-feature adapter (vit->cnn)")),
-        cl=(c3, c3, _pool_factor(flc, flv, "last-feature adapter (cnn)")),
-        vl=(d3, c3, _pool_factor(flv, flv, "last-feature adapter (vit)")),
-        region_hw=flv,
-        region_channels=c3,
-    )
 
 
 @dataclass
@@ -126,12 +94,21 @@ class AdapterSet:
 
 
 def init_adapters(cfg: ArchConfig, rng) -> AdapterSet:
-    plan = derive_adapter_plan(cfg)
+    """The four adapters for a config, with geometry derived from it.
+
+    c1/v1 reshape first features across students; cl/vl reshape last
+    features onto the shared region grid (common channels = the CNN's
+    last channel count, common spatial = the ViT's last-stage grid).
+    """
+    c1, _, c3 = cfg.cnn_channels
+    d1, _, d3 = cfg.vit_dims
+    f1c, f1v = cfg.cnn_feature_hw("f1"), cfg.vit_feature_hw("f1")
+    flc, flv = cfg.cnn_feature_hw("fl"), cfg.vit_feature_hw("fl")
     return AdapterSet(
-        c1=init_adapter(*plan.c1, rng),
-        v1=init_adapter(*plan.v1, rng),
-        cl=init_adapter(*plan.cl, rng),
-        vl=init_adapter(*plan.vl, rng),
+        c1=init_adapter(c1, d1, _pool_factor(f1c, f1v, "first-feature adapter (cnn->vit)"), rng),
+        v1=init_adapter(d1, c1, _pool_factor(f1v, f1c, "first-feature adapter (vit->cnn)"), rng),
+        cl=init_adapter(c3, c3, _pool_factor(flc, flv, "last-feature adapter (cnn)"), rng),
+        vl=init_adapter(d3, c3, _pool_factor(flv, flv, "last-feature adapter (vit)"), rng),
     )
 
 

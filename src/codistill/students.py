@@ -81,10 +81,6 @@ class ArchConfig:
         if self.ffn_ratio < 1:
             raise ConfigError("ffn_ratio must be >= 1")
 
-    def head_dim(self, stage: int) -> int:
-        """Per-head key dimension of attention stage 1..3 (the softmax scale)."""
-        return self.vit_dims[stage - 1] // self.num_heads
-
     # derived stage geometry ------------------------------------------
     def cnn_feature_hw(self, which: str) -> tuple:
         h, w = self.input_hw

@@ -232,25 +232,6 @@ def exp(x):
     return _make(out, (x,), backward)
 
 
-def log(x):
-    x = _lift(x)
-
-    def backward(g):
-        return (g / x.data,)
-
-    return _make(np.log(x.data), (x,), backward)
-
-
-def sqrt(x):
-    x = _lift(x)
-    out = np.sqrt(x.data)
-
-    def backward(g):
-        return (g * 0.5 / out,)
-
-    return _make(out, (x,), backward)
-
-
 def relu(x):
     x = _lift(x)
 
@@ -361,39 +342,6 @@ def transpose(x, axes=None):
         return (g.transpose(inv),)
 
     return _make(x.data.transpose(axes), (x,), backward)
-
-
-def narrow(x, axis, start, size):
-    """Contiguous slice along one axis."""
-    x = _lift(x)
-    sl = [slice(None)] * x.ndim
-    sl[axis % x.ndim] = slice(start, start + size)
-    sl = tuple(sl)
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[sl] = g
-        return (gx,)
-
-    return _make(x.data[sl].copy(), (x,), backward)
-
-
-def concat(tensors, axis=0):
-    ts = [_lift(t) for t in tensors]
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-
-    def backward(g):
-        outs = []
-        ofs = 0
-        for s in sizes:
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(ofs, ofs + s)
-            outs.append(g[tuple(sl)])
-            ofs += s
-        return tuple(outs)
-
-    return _make(data, tuple(ts), backward)
 
 
 # linear algebra and stencils -----------------------------------------

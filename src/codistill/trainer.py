@@ -23,7 +23,7 @@ import numpy as np
 from .bsd import RegionGrid, bsd_loss, build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
 from .data import ConfusionMatrix, miou_from_confusion, predict_labels, update_confusion
 from .errors import ConfigError, DataError, TrainingError
-from .hfd import AdapterSet, FeatureAdapter, apply_adapter, derive_adapter_plan, hfd_loss_cnn, hfd_loss_vit, init_adapters
+from .hfd import AdapterSet, apply_adapter, hfd_loss_cnn, hfd_loss_vit, init_adapters
 from .losses import pixel_ce
 from .recordio import read_archive, write_archive
 from .seeding import substream
@@ -308,62 +308,59 @@ def parse_metrics_line(line: str) -> dict:
 
 # checkpoints --------------------------------------------------------------
 
+def _param_records(params_c, params_v, adapters: AdapterSet) -> list:
+    """Every trainable tensor under its checkpoint record name, in file order."""
+    return (
+        [(f"cnn/{name}", p) for name, p in params_c.items()]
+        + [(f"vit/{name}", p) for name, p in params_v.items()]
+        + adapters.cnn_side()
+        + adapters.vit_side()
+    )
+
+
 def save_checkpoint(path, acfg: ArchConfig, params_c, params_v, adapters: AdapterSet) -> None:
     records = [(f"config/{f.name}", np.array(getattr(acfg, f.name), dtype=float, ndmin=1)) for f in fields(ArchConfig)]
-    records += [(f"cnn/{name}", p.data) for name, p in params_c.items()]
-    records += [(f"vit/{name}", p.data) for name, p in params_v.items()]
-    records += [(name, p.data) for name, p in adapters.cnn_side() + adapters.vit_side()]
+    records += [(name, p.data) for name, p in _param_records(params_c, params_v, adapters)]
     write_archive(path, records)
-
-
-def _stored_params(path, blob, prefix, expected: StudentParams) -> StudentParams:
-    """The `prefix/` records of a checkpoint, named and shaped as `expected`."""
-    for name in blob:
-        if name.startswith(prefix + "/") and name[len(prefix) + 1 :] not in expected:
-            raise DataError(f"{path}: unexpected checkpoint record {name}")
-    params = {}
-    for name, init in expected.items():
-        stored = blob.get(f"{prefix}/{name}")
-        if stored is None:
-            raise DataError(f"{path}: checkpoint lacks record {prefix}/{name}")
-        if stored.shape != init.shape:
-            raise DataError(f"{path}: record {prefix}/{name} has shape {stored.shape}, expected {init.shape}")
-        params[name] = Tensor(stored, requires_grad=True)
-    return params
 
 
 def load_checkpoint(path):
     """(ArchConfig, CNN params, ViT params, AdapterSet) from a checkpoint.
 
-    A missing, unexpected or wrong-shaped parameter record, or an invalid
-    architecture, raises DataError.
+    The checkpoint must hold exactly the records save_checkpoint writes for
+    its stored architecture: a missing, unexpected or wrong-shaped record,
+    a non-integer config value or an invalid architecture raises DataError.
+    Every record is checked before any stored array is assigned.
     """
     blob = read_archive(path)
-    adapter_names = [f.name for f in fields(AdapterSet)]
-    required = [f"config/{f.name}" for f in fields(ArchConfig)]
-    required += [f"adapter_{name}/{part}" for name in adapter_names for part in ("weight", "bias")]
-    missing = [name for name in required if name not in blob]
-    if missing:
-        raise DataError(f"{path}: checkpoint lacks record(s) {', '.join(missing)}")
+    config_names = [f"config/{f.name}" for f in fields(ArchConfig)]
+    for name in config_names:
+        if name not in blob:
+            raise DataError(f"{path}: checkpoint lacks record {name}")
     try:
         kwargs = {}
-        for f in fields(ArchConfig):
-            stored = blob[f"config/{f.name}"]
+        for f, name in zip(fields(ArchConfig), config_names):
+            stored = blob[name]
+            if stored.ndim != 1 or not np.all(np.isfinite(stored) & (stored == np.round(stored))):
+                raise ValueError(f"{name} = {stored.tolist()} is not a row of integers")
             kwargs[f.name] = tuple(int(v) for v in stored) if isinstance(f.default, tuple) else int(stored.item())
         acfg = ArchConfig(**kwargs)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise DataError(f"{path}: bad architecture config: {exc}") from exc
-    params_c = _stored_params(path, blob, "cnn", init_cnn_params(acfg, np.random.default_rng(0)))
-    params_v = _stored_params(path, blob, "vit", init_vit_params(acfg, np.random.default_rng(0)))
-    plan = derive_adapter_plan(acfg)
-    adapters = AdapterSet(**{
-        name: FeatureAdapter(
-            weight=Tensor(blob[f"adapter_{name}/weight"], requires_grad=True),
-            bias=Tensor(blob[f"adapter_{name}/bias"], requires_grad=True),
-            pool=getattr(plan, name)[2],
-        )
-        for name in adapter_names
-    })
+    rng = np.random.default_rng(0)
+    params_c, params_v, adapters = init_cnn_params(acfg, rng), init_vit_params(acfg, rng), init_adapters(acfg, rng)
+    records = _param_records(params_c, params_v, adapters)
+    expected = set(config_names) | {name for name, _ in records}
+    for name in blob:
+        if name not in expected:
+            raise DataError(f"{path}: unexpected checkpoint record {name}")
+    for name, p in records:
+        if name not in blob:
+            raise DataError(f"{path}: checkpoint lacks record {name}")
+        if blob[name].shape != p.shape:
+            raise DataError(f"{path}: record {name} has shape {blob[name].shape}, expected {p.shape}")
+    for name, p in records:
+        p.data = blob[name]
     return acfg, params_c, params_v, adapters
 
 

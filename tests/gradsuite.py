@@ -120,18 +120,6 @@ def op_checks():
         w = _frozen_weigh(rng, (3, 3))
         return lambda: w(T.exp(x)), [x]
 
-    @register("log")
-    def _(rng):
-        x = T.Tensor(rng.uniform(0.3, 3.0, (3, 3)), requires_grad=True)
-        w = _frozen_weigh(rng, (3, 3))
-        return lambda: w(T.log(x)), [x]
-
-    @register("sqrt")
-    def _(rng):
-        x = T.Tensor(rng.uniform(0.3, 3.0, (3, 3)), requires_grad=True)
-        w = _frozen_weigh(rng, (3, 3))
-        return lambda: w(T.sqrt(x)), [x]
-
     @register("sum_axis")
     def _(rng):
         x = _leaf(rng, 3, 4, 2)
@@ -155,18 +143,6 @@ def op_checks():
         x = _leaf(rng, 3, 4)
         w = _frozen_weigh(rng, (2, 3, 2))
         return lambda: w(x.transpose(1, 0).reshape(2, 3, 2)), [x]
-
-    @register("narrow")
-    def _(rng):
-        x = _leaf(rng, 5, 4)
-        w = _frozen_weigh(rng, (2, 4))
-        return lambda: w(T.narrow(x, 0, 1, 2)), [x]
-
-    @register("concat")
-    def _(rng):
-        a, b = _leaf(rng, 2, 3), _leaf(rng, 2, 2)
-        w = _frozen_weigh(rng, (2, 5))
-        return lambda: w(T.concat([a, b], axis=1)), [a, b]
 
     @register("layer_norm")
     def _(rng):

@@ -253,10 +253,6 @@ class TestBsdCombine:
         lc, lv = bsd_loss((Tensor(a), Tensor(b)), (Tensor(c), Tensor(d)), alpha)
         np.testing.assert_allclose([lc.item(), lv.item()], [a + alpha * c, b + alpha * d], rtol=1e-12)
 
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ConfigError):
-            bsd_loss((Tensor(0.0), Tensor(0.0)), (Tensor(0.0), Tensor(0.0)), -1.0)
-
 
 class TestSelectiveProperties:
     def test_direction_exclusivity(self):

@@ -232,7 +232,7 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(out / "ckpt_final.bin"), "--data", str(big)]) == 2
         assert "32x32" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["cut_10", "cut_1000", "drop_config/num_classes", "drop_cnn/head_b", "shrink_vit/s1_wq"])
+    @pytest.mark.parametrize("damage", ["cut_10", "cut_1000", "drop_config/num_classes", "drop_cnn/head_b", "shrink_vit/s1_wq", "shrink_adapter_cl/weight"])
     def test_damaged_checkpoint_exits_2(self, dataset_dir, tmp_path, capsys, damage):
         out = tmp_path / "run"
         assert main(train_args(dataset_dir, out, steps=1)) == 0

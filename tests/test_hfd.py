@@ -7,7 +7,6 @@ from codistill.errors import ConfigError
 from codistill.hfd import (
     FeatureAdapter,
     apply_adapter,
-    derive_adapter_plan,
     hfd_loss_cnn,
     hfd_loss_vit,
     init_adapter,
@@ -80,13 +79,11 @@ class TestApplyAdapter:
 
 class TestAdapterPlan:
     def test_default_plan_reports_derived_shapes(self):
-        plan = derive_adapter_plan(ArchConfig())
-        assert plan.c1 == (8, 16, 1)
-        assert plan.v1 == (16, 8, 1)
-        assert plan.cl == (24, 24, 2)
-        assert plan.vl == (48, 24, 1)
-        assert plan.region_hw == (4, 4)
-        assert plan.region_channels == 24
+        cfg = ArchConfig()
+        adapters = init_adapters(cfg, np.random.default_rng(0))
+        geometry = {name: (a.in_channels, a.out_channels, a.pool) for name, a in vars(adapters).items()}
+        assert geometry == {"c1": (8, 16, 1), "v1": (16, 8, 1), "cl": (24, 24, 2), "vl": (48, 24, 1)}
+        assert (cfg.cnn_channels[-1], *cfg.vit_feature_hw("fl")) == (24, 4, 4)
 
     def test_adapters_make_alignments_well_formed(self, setup):
         params_c, params_v, adapters, x = setup
@@ -94,8 +91,7 @@ class TestAdapterPlan:
         out_v = vit_forward(x, params_v, CFG)
         assert apply_adapter(out_c.f1, adapters.c1).shape == out_v.f1.shape
         assert apply_adapter(out_v.f1, adapters.v1).shape == out_c.f1.shape
-        plan = derive_adapter_plan(CFG)
-        target = (plan.region_channels, *plan.region_hw)
+        target = (CFG.cnn_channels[-1], *CFG.vit_feature_hw("fl"))
         assert apply_adapter(out_c.fl, adapters.cl).shape == target
         assert apply_adapter(out_v.fl, adapters.vl).shape == target
 
@@ -114,7 +110,7 @@ def valid_configs(draw):
 @given(valid_configs(), st.integers(0, 2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_adapters_exist_for_every_valid_config(cfg, seed):
-    """The derived adapter plan makes both alignments well-formed."""
+    """The adapters derived from any valid config make both alignments well-formed."""
     rng = np.random.default_rng(seed)
     params_c = init_cnn_params(cfg, rng)
     params_v = init_vit_params(cfg, rng)
@@ -125,8 +121,7 @@ def test_adapters_exist_for_every_valid_config(cfg, seed):
     lc = hfd_loss_cnn(out_c.f1, adapters.c1, params_v, cfg, out_v.f2)
     lv = hfd_loss_vit(out_v.f1, adapters.v1, params_c, cfg, out_c.f2)
     assert 0.0 <= lc.item() <= 2.0 and 0.0 <= lv.item() <= 2.0
-    plan = derive_adapter_plan(cfg)
-    target = (plan.region_channels, *plan.region_hw)
+    target = (cfg.cnn_channels[-1], *cfg.vit_feature_hw("fl"))
     assert apply_adapter(out_c.fl, adapters.cl).shape == target
     assert apply_adapter(out_v.fl, adapters.vl).shape == target
 

@@ -34,7 +34,7 @@ def default_pair():
 
 class TestArchConfig:
     def test_default_valid(self):
-        assert DEFAULT.head_dim(1) == 8
+        ArchConfig()  # __post_init__ raises ConfigError on an invalid default
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -349,8 +349,13 @@ class TestRunTraining:
             ("shrink vit/s1_wq", "record vit/s1_wq has shape (5, 6), expected (6, 6)"),
             ("shrink cnn/conv1_w", "record cnn/conv1_w has shape (3, 3, 4, 4), expected (4, 3, 4, 4)"),
             ("add cnn/extra_w", "unexpected checkpoint record cnn/extra_w"),
+            ("shrink adapter_c1/weight", "record adapter_c1/weight has shape (5, 4, 1, 1), expected (6, 4, 1, 1)"),
+            ("shrink adapter_vl/bias", "record adapter_vl/bias has shape (7,), expected (8,)"),
+            ("add adapter_zz/weight", "unexpected checkpoint record adapter_zz/weight"),
+            ("add junk/x", "unexpected checkpoint record junk/x"),
+            ("add config/zz", "unexpected checkpoint record config/zz"),
         ],
-        ids=["drop-cnn", "drop-vit", "shrink-vit", "shrink-cnn", "extra-cnn"],
+        ids=["drop-cnn", "drop-vit", "shrink-vit", "shrink-cnn", "extra-cnn", "shrink-adapter-weight", "shrink-adapter-bias", "extra-adapter", "extra-other", "extra-config"],
     )
     def test_parameter_records_checked_against_architecture(self, tmp_path, damage, message):
         state = make_train_state(MICRO, micro_tcfg())
@@ -369,7 +374,7 @@ class TestRunTraining:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("config/input_hw", [16.0, 16.0, 16.0]), ("config/num_classes", [3.0, 3.0]), ("config/num_heads", [float("nan")]), ("config/ffn_ratio", [float("inf")]), ("config/num_classes", [1.0])],
+        [("config/input_hw", [16.0, 16.0, 16.0]), ("config/num_classes", [3.0, 3.0]), ("config/num_heads", [float("nan")]), ("config/ffn_ratio", [float("inf")]), ("config/num_classes", [1.0]), ("config/num_heads", [2.5]), ("config/input_hw", [[16.0, 16.0], [16.0, 16.0]])],
     )
     def test_bad_checkpoint_config_raises_data_error(self, tmp_path, name, value):
         state = make_train_state(MICRO, micro_tcfg())
