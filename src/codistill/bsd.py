@@ -33,24 +33,6 @@ from .tensor import ShapeError, Tensor
 
 
 @dataclass(frozen=True)
-class RegionGrid:
-    """Partition of an H×W map into rows×cols equal blocks."""
-
-    rows: int
-    cols: int
-    block_h: int
-    block_w: int
-
-    @classmethod
-    def for_shapes(cls, map_hw, region_hw) -> "RegionGrid":
-        h, w = map_hw
-        rows, cols = region_hw
-        if rows < 1 or cols < 1 or h % rows or w % cols:
-            raise ConfigError(f"region grid {rows}x{cols} does not divide map {h}x{w}")
-        return cls(rows=rows, cols=cols, block_h=h // rows, block_w=w // cols)
-
-
-@dataclass(frozen=True)
 class DirectionMask:
     """Binary direction matrix: 1 where the CNN is the teacher for that unit.
 
@@ -60,80 +42,73 @@ class DirectionMask:
 
     values: np.ndarray  # (N×)rows×cols of {0.0, 1.0}
     valid: np.ndarray  # bool, same shape
-    count: np.ndarray  # ones among valid units, per image: (N,) or a scalar
 
     @property
-    def complement_count(self) -> np.ndarray:
-        return (self.valid & (self.values == 0.0)).sum(axis=(-2, -1))
+    def count(self) -> np.ndarray:
+        """Units where the CNN teaches, per image: (N,) or a scalar."""
+        return (self.values == 1.0).sum(axis=(-2, -1))
+
+    @property
+    def toward_vit(self) -> np.ndarray:
+        """Weight 1 on the valid units where the ViT teaches, else 0."""
+        return np.where(self.valid, 1.0 - self.values, 0.0)
 
 
-def _mask_from_votes(ce_cnn, ce_vit, valid) -> DirectionMask:
-    values = np.where(valid & (ce_cnn < ce_vit), 1.0, 0.0)
-    return DirectionMask(values=values, valid=valid, count=(values == 1.0).sum(axis=(-2, -1)))
+def _mask_from_votes(ce_cnn, ce_vit, valid_cnn=True, valid_vit=True) -> DirectionMask:
+    """Direction mask from two CE vote maps; a unit votes where both validity
+    masks hold (every unit by default)."""
+    if ce_cnn.shape != ce_vit.shape:
+        raise ShapeError(f"CE votes differ in shape: {ce_cnn.shape} vs {ce_vit.shape}")
+    valid = np.ones(ce_cnn.shape, dtype=bool) & valid_cnn & valid_vit
+    return DirectionMask(values=np.where(valid & (ce_cnn < ce_vit), 1.0, 0.0), valid=valid)
 
 
-def region_ce(ce_map: PixelCEMap, grid: RegionGrid) -> np.ndarray:
-    """Block sums of per-pixel CE (ignored pixels contribute 0)."""
+def region_ce(ce_map: PixelCEMap, region_hw) -> np.ndarray:
+    """Sums of per-pixel CE over a rows×cols grid of equal blocks (ignored
+    pixels contribute 0)."""
     *lead, h, w = ce_map.values.shape
-    if h != grid.rows * grid.block_h or w != grid.cols * grid.block_w:
-        raise ConfigError(f"grid {grid} does not match CE map {h}x{w}")
-    return ce_map.values.reshape(*lead, grid.rows, grid.block_h, grid.cols, grid.block_w).sum(axis=(-3, -1))
+    rows, cols = region_hw
+    if rows < 1 or cols < 1 or h % rows or w % cols:
+        raise ConfigError(f"region grid {rows}x{cols} does not divide map {h}x{w}")
+    return ce_map.values.reshape(*lead, rows, h // rows, cols, w // cols).sum(axis=(-3, -1))
 
 
 def build_region_mask(ce_cnn: np.ndarray, ce_vit: np.ndarray) -> DirectionMask:
-    if ce_cnn.shape != ce_vit.shape:
-        raise ShapeError(f"region CE shapes differ: {ce_cnn.shape} vs {ce_vit.shape}")
-    return _mask_from_votes(ce_cnn, ce_vit, np.ones(ce_cnn.shape, dtype=bool))
+    return _mask_from_votes(ce_cnn, ce_vit)
 
 
 def build_pixel_mask(map_cnn: PixelCEMap, map_vit: PixelCEMap) -> DirectionMask:
-    if map_cnn.values.shape != map_vit.values.shape:
-        raise ShapeError(f"pixel CE shapes differ: {map_cnn.values.shape} vs {map_vit.values.shape}")
-    return _mask_from_votes(map_cnn.values, map_vit.values, map_cnn.valid & map_vit.valid)
+    return _mask_from_votes(map_cnn.values, map_vit.values, map_cnn.valid, map_vit.valid)
 
 
-def region_similarity(fl_cnn: Tensor, fl_vit: Tensor) -> Tensor:
-    """Per-region cosine distance of the two adapted last-stage features."""
-    if fl_cnn.shape != fl_vit.shape:
-        raise ShapeError(f"adapted features differ: {tuple(fl_cnn.shape)} vs {tuple(fl_vit.shape)}")
-    return cosine_distance(fl_cnn, fl_vit, axis=-3)
-
-
-def _masked_mean(term: Tensor, weights: np.ndarray, count) -> Tensor:
-    """Per-image weighted sum over count, averaged over the batch."""
+def _masked_mean(term: Tensor, weights: np.ndarray) -> Tensor:
+    """Per-image mean of term over the units of weight 1, averaged over the batch."""
+    count = weights.sum(axis=(-2, -1))
     if not np.any(count):
         return Tensor(0.0)
     return ((term * weights).sum(axis=(-2, -1)) / np.maximum(count, 1)).mean()
 
 
-def region_loss(fl_cnn: Tensor, fl_vit: Tensor, mask: DirectionMask):
-    """(loss for the CNN, loss for the ViT) from two one-sided similarity graphs.
-
-    The CNN learns on units where the ViT won (mask 0) with the ViT feature
-    detached; the ViT learns on units where the CNN won (mask 1) with the
-    CNN feature detached.
-    """
-    if mask.values.shape != fl_cnn.shape[:-3] + fl_cnn.shape[-2:]:
-        raise ShapeError(f"mask {mask.values.shape} does not match features {tuple(fl_cnn.shape)}")
-    sim_for_cnn = region_similarity(fl_cnn, fl_vit.detach())
-    sim_for_vit = region_similarity(fl_cnn.detach(), fl_vit)
-    toward_vit = np.where(mask.valid, 1.0 - mask.values, 0.0)
-    loss_c = _masked_mean(sim_for_cnn, toward_vit, mask.complement_count)
-    loss_v = _masked_mean(sim_for_vit, mask.values, mask.count)
+def _selective_pair(distance, cnn: Tensor, vit: Tensor, mask: DirectionMask):
+    """(loss for the CNN, loss for the ViT): each student is pulled toward the
+    other, detached, on the units where the other one teaches."""
+    if cnn.shape != vit.shape or mask.values.shape != cnn.shape[:-3] + cnn.shape[-2:]:
+        raise ShapeError(f"maps {tuple(cnn.shape)} and {tuple(vit.shape)} do not match mask {mask.values.shape}")
+    loss_c = _masked_mean(distance(cnn, vit.detach()), mask.toward_vit)
+    loss_v = _masked_mean(distance(vit, cnn.detach()), mask.values)
     return loss_c, loss_v
+
+
+def region_loss(fl_cnn: Tensor, fl_vit: Tensor, mask: DirectionMask):
+    """(loss for the CNN, loss for the ViT) from one-sided cosine distances
+    of the adapted last-stage features."""
+    return _selective_pair(cosine_distance, fl_cnn, fl_vit, mask)
 
 
 def pixel_loss(logp_cnn: Tensor, logp_vit: Tensor, mask: DirectionMask):
     """(loss for the CNN, loss for the ViT) from one-sided per-pixel KL terms
     on the two students' class log-probabilities."""
-    if logp_cnn.shape != logp_vit.shape:
-        raise ShapeError(f"prediction shapes differ: {tuple(logp_cnn.shape)} vs {tuple(logp_vit.shape)}")
-    if mask.values.shape != logp_cnn.shape[:-3] + logp_cnn.shape[-2:]:
-        raise ShapeError(f"mask {mask.values.shape} does not match predictions {tuple(logp_cnn.shape)}")
-    toward_vit = np.where(mask.valid, 1.0 - mask.values, 0.0)
-    loss_c = _masked_mean(kl_map(logp_cnn, logp_vit.detach()), toward_vit, mask.complement_count)
-    loss_v = _masked_mean(kl_map(logp_vit, logp_cnn.detach()), mask.values, mask.count)
-    return loss_c, loss_v
+    return _selective_pair(kl_map, logp_cnn, logp_vit, mask)
 
 
 def bsd_loss(region_pair, pixel_pair, alpha: float):

@@ -10,7 +10,7 @@ class DataError(ValueError):
 
 
 class TrainingError(RuntimeError):
-    """Training produced a non-finite loss term."""
+    """Training produced a non-finite loss term or gradient."""
 
 
 class MetricError(ValueError):

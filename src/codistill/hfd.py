@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .losses import mean_cosine_distance
+from .losses import cosine_distance
 from .students import ArchConfig, StudentParams, detach_params, mlp_block, vit_second_stage
 from .tensor import Tensor, avg_pool2d, conv2d
 
@@ -116,10 +116,10 @@ def hfd_loss_cnn(f1_c: Tensor, adapter_c1: FeatureAdapter, vit_params: StudentPa
     """Alignment loss that trains the CNN: its adapted f1 through the ViT's
     second stage versus the ViT's own f2. ViT weights and f2 are frozen."""
     crossed = vit_second_stage(apply_adapter(f1_c, adapter_c1), detach_params(vit_params), cfg)
-    return mean_cosine_distance(crossed, f2_v.detach(), axis=-3)
+    return cosine_distance(crossed, f2_v.detach()).mean()
 
 
 def hfd_loss_vit(f1_v: Tensor, adapter_v1: FeatureAdapter, cnn_params: StudentParams, cfg: ArchConfig, f2_c: Tensor) -> Tensor:
     """Mirror of hfd_loss_cnn: trains the ViT through the CNN's second layer."""
     crossed = mlp_block(apply_adapter(f1_v, adapter_v1), detach_params(cnn_params))
-    return mean_cosine_distance(crossed, f2_c.detach(), axis=-3)
+    return cosine_distance(crossed, f2_c.detach()).mean()

@@ -62,21 +62,17 @@ def pixel_ce(log_probs: Tensor, labels: np.ndarray):
     return scalar, PixelCEMap(values=ce_map.data.copy(), valid=valid)
 
 
-def cosine_distance(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
-    """Per-location 1 - cos(a, b) over vectors along `axis`; range [0, 2].
+def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
+    """Per-location 1 - cos(a, b) over the channel axis -3; range [0, 2].
 
     The epsilon in the denominator guards zero vectors: a zero-vector pair
     yields distance 1 (dot and similarity both vanish).
     """
     if a.shape != b.shape:
         raise DataError(f"cosine_distance shapes differ: {tuple(a.shape)} vs {tuple(b.shape)}")
-    dot = (a * b).sum(axis=axis)
-    denom = l2_norm(a, axis=axis) * l2_norm(b, axis=axis) + COSINE_EPS
+    dot = (a * b).sum(axis=-3)
+    denom = l2_norm(a, axis=-3) * l2_norm(b, axis=-3) + COSINE_EPS
     return 1.0 - dot / denom
-
-
-def mean_cosine_distance(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
-    return cosine_distance(a, b, axis=axis).mean()
 
 
 def kl_map(lp: Tensor, lq: Tensor) -> Tensor:

@@ -170,10 +170,6 @@ def detach_params(params: StudentParams) -> StudentParams:
     return {k: v.detach() for k, v in params.items()}
 
 
-def param_count(params: StudentParams) -> int:
-    return sum(p.size for p in params.values())
-
-
 def _chan_bias(b: Tensor) -> Tensor:
     return b.reshape((b.shape[0], 1, 1))
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsd import RegionGrid, bsd_loss, build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
+from .bsd import bsd_loss, build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
 from .data import ConfusionMatrix, miou_from_confusion, predict_labels, update_confusion
 from .errors import ConfigError, DataError, TrainingError
 from .hfd import AdapterSet, apply_adapter, hfd_loss_cnn, hfd_loss_vit, init_adapters
@@ -205,8 +205,8 @@ def total_objective(out_c, out_v, labels, params_c, params_v, adapters: AdapterS
         if tcfg.region_active:
             fl_c = apply_adapter(out_c.fl, adapters.cl)
             fl_v = apply_adapter(out_v.fl, adapters.vl)
-            grid = RegionGrid.for_shapes(labels.shape[-2:], fl_c.shape[-2:])
-            region_mask = build_region_mask(region_ce(ce_map_c, grid), region_ce(ce_map_v, grid))
+            region_hw = fl_c.shape[-2:]
+            region_mask = build_region_mask(region_ce(ce_map_c, region_hw), region_ce(ce_map_v, region_hw))
             lr_pair = region_loss(fl_c, fl_v, region_mask)
             parts["l_r_c"] = lr_pair[0].item()
             parts["l_r_v"] = lr_pair[1].item()
@@ -248,7 +248,8 @@ def make_train_state(acfg: ArchConfig, tcfg: TrainConfig) -> TrainState:
 
 def train_step(batch, state: TrainState, tcfg: TrainConfig) -> dict:
     """One collaborative update on a list of (image, labels) samples,
-    forwarded as one stacked batch."""
+    forwarded as one stacked batch. A non-finite loss term or gradient
+    raises TrainingError before either optimizer moves a weight."""
     step = state.step + 1
     state.opt_c.zero_grad()
     state.opt_v.zero_grad()
@@ -262,6 +263,9 @@ def train_step(batch, state: TrainState, tcfg: TrainConfig) -> dict:
             raise TrainingError(f"non-finite {name} ({value}) at step {step}")
     loss_c.backward()
     loss_v.backward()
+    for name, p in _param_records(state.params_c, state.params_v, state.adapters):
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise TrainingError(f"non-finite gradient for {name} at step {step}")
     state.opt_c.step()
     state.opt_v.step()
     state.step = step
@@ -329,8 +333,9 @@ def load_checkpoint(path):
 
     The checkpoint must hold exactly the records save_checkpoint writes for
     its stored architecture: a missing, unexpected or wrong-shaped record,
-    a non-integer config value or an invalid architecture raises DataError.
-    Every record is checked before any stored array is assigned.
+    a non-integer config value, or an architecture that is invalid or too
+    large to build raises DataError. Every record is checked before any
+    stored array is assigned.
     """
     blob = read_archive(path)
     config_names = [f"config/{f.name}" for f in fields(ArchConfig)]
@@ -345,10 +350,12 @@ def load_checkpoint(path):
                 raise ValueError(f"{name} = {stored.tolist()} is not a row of integers")
             kwargs[f.name] = tuple(int(v) for v in stored) if isinstance(f.default, tuple) else int(stored.item())
         acfg = ArchConfig(**kwargs)
-    except ValueError as exc:
+        rng = np.random.default_rng(0)
+        params_c, params_v, adapters = init_cnn_params(acfg, rng), init_vit_params(acfg, rng), init_adapters(acfg, rng)
+    except (ValueError, MemoryError) as exc:
+        # numpy rejects a skeleton too large to index with ValueError, and
+        # one too large to allocate with MemoryError
         raise DataError(f"{path}: bad architecture config: {exc}") from exc
-    rng = np.random.default_rng(0)
-    params_c, params_v, adapters = init_cnn_params(acfg, rng), init_vit_params(acfg, rng), init_adapters(acfg, rng)
     records = _param_records(params_c, params_v, adapters)
     expected = set(config_names) | {name for name, _ in records}
     for name in blob:

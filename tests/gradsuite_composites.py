@@ -8,7 +8,7 @@ so finite differences on them would measure a different function).
 
 import numpy as np
 
-from codistill.bsd import RegionGrid, build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
+from codistill.bsd import build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
 from codistill.hfd import apply_adapter, hfd_loss_cnn, hfd_loss_vit, init_adapters
 from codistill.losses import pixel_ce
 from codistill.students import ArchConfig, cnn_forward, init_cnn_params, init_vit_params, vit_forward
@@ -35,7 +35,7 @@ class Scene:
         _, map_v = pixel_ce(log_softmax(out_v.prediction, axis=-3), self.labels)
         fl_c = apply_adapter(out_c.fl, self.adapters.cl)
         fl_v = apply_adapter(out_v.fl, self.adapters.vl)
-        grid = RegionGrid.for_shapes(self.labels.shape, fl_c.shape[1:])
+        grid = fl_c.shape[1:]
         mask = build_region_mask(region_ce(map_c, grid), region_ce(map_v, grid))
         return fl_c, fl_v, mask, map_c, map_v
 

@@ -12,18 +12,16 @@ import numpy as np
 
 from codistill.bsd import (
     DirectionMask,
-    RegionGrid,
     build_pixel_mask,
     build_region_mask,
     pixel_loss,
     region_ce,
     region_loss,
-    region_similarity,
 )
 from codistill.cli import main
 from codistill.data import SynthSpec, generate_dataset
 from codistill.hfd import FeatureAdapter, hfd_loss_cnn, hfd_loss_vit
-from codistill.losses import IGNORE_LABEL, pixel_ce
+from codistill.losses import IGNORE_LABEL, cosine_distance, pixel_ce
 from codistill.students import ArchConfig, cnn_forward, init_cnn_params, init_vit_params, vit_forward
 from codistill.tensor import Tensor, log_softmax, zero_grads
 from codistill.trainer import TrainConfig, make_train_state, run_training, total_objective
@@ -96,7 +94,7 @@ def test_criterion_2_mask_oracles():
         _, map_c = pixel_ce(log_softmax(Tensor(logits_c), axis=-3), labels)
         _, map_v = pixel_ce(log_softmax(Tensor(logits_v), axis=-3), labels)
 
-        grid = RegionGrid.for_shapes((h, w), (rows, cols))
+        grid = (rows, cols)
         ce_c, ce_v = region_ce(map_c, grid), region_ce(map_v, grid)
         np.testing.assert_allclose(ce_c, bf_region_ce(map_c.values, rows, cols), rtol=1e-12)
 
@@ -110,7 +108,7 @@ def test_criterion_2_mask_oracles():
         fc = rng.standard_normal((d, rows, cols))
         fv = rng.standard_normal((d, rows, cols))
         lr_c, lr_v = region_loss(Tensor(fc), Tensor(fv), rmask)
-        s = region_similarity(Tensor(fc), Tensor(fv)).data
+        s = cosine_distance(Tensor(fc), Tensor(fv)).data
         exp_c, exp_v = bf_masked_means(s, rmask.values)
         for got, exp in ((lr_c.item(), exp_c), (lr_v.item(), exp_v)):
             assert abs(got - exp) <= 1e-9 * max(abs(exp), 1e-12)
@@ -145,7 +143,7 @@ def test_criterion_3_degenerate_masks():
             _, map_v = pixel_ce(log_softmax(pv, axis=-3), lab)
             pmask = build_pixel_mask(map_c, map_v)
             lp_c, lp_v = pixel_loss(log_softmax(pc, axis=-3), log_softmax(pv, axis=-3), pmask)
-            grid = RegionGrid.for_shapes((h, w), (rows, cols))
+            grid = (rows, cols)
             rmask = build_region_mask(region_ce(map_c, grid), region_ce(map_v, grid))
             fc = Tensor(rng.standard_normal((4, rows, cols)), requires_grad=True)
             fv = Tensor(rng.standard_normal((4, rows, cols)), requires_grad=True)
@@ -159,7 +157,7 @@ def test_criterion_3_degenerate_masks():
             cases += 1
         for count in (0, rows * cols):
             values = np.full((rows, cols), 1.0 if count else 0.0)
-            mask = DirectionMask(values=values, valid=np.ones((rows, cols), bool), count=count)
+            mask = DirectionMask(values=values, valid=np.ones((rows, cols), bool))
             fc = Tensor(rng.standard_normal((4, rows, cols)))
             fv = Tensor(rng.standard_normal((4, rows, cols)))
             lr_c, lr_v = region_loss(fc, fv, mask)
@@ -167,7 +165,7 @@ def test_criterion_3_degenerate_masks():
             cases += 1
         for count in (0, h * w):
             values = np.full((h, w), 1.0 if count else 0.0)
-            mask = DirectionMask(values=values, valid=np.ones((h, w), bool), count=count)
+            mask = DirectionMask(values=values, valid=np.ones((h, w), bool))
             lp_c, lp_v = pixel_loss(log_softmax(Tensor(logits), axis=-3), log_softmax(Tensor(rng.standard_normal((k, h, w))), axis=-3), mask)
             assert math.isfinite(lp_c.item()) and math.isfinite(lp_v.item())
             cases += 1
@@ -223,11 +221,10 @@ def test_criterion_5_definitional_zeros():
     hfd_own_vit = hfd_loss_cnn(out_v.f1, identity_adapter(acfg.vit_dims[0]), params_v, acfg, out_v.f2).item()
     hfd_own_cnn = hfd_loss_vit(out_c.f1, identity_adapter(acfg.cnn_channels[0]), params_c, acfg, out_c.f2).item()
 
-    mask = DirectionMask(values=np.zeros((4, 4)), valid=np.ones((4, 4), bool), count=0)
+    mask = DirectionMask(values=np.zeros((4, 4)), valid=np.ones((4, 4), bool))
     mask.values[0, 0] = 1.0
-    object.__setattr__(mask, "count", 1)
     same = Tensor(rng.standard_normal((3, 16, 16)))
-    lp_c, lp_v = pixel_loss(log_softmax(same, axis=-3), log_softmax(Tensor(same.data.copy()), axis=-3), DirectionMask(values=np.ones((16, 16)), valid=np.ones((16, 16), bool), count=256))
+    lp_c, lp_v = pixel_loss(log_softmax(same, axis=-3), log_softmax(Tensor(same.data.copy()), axis=-3), DirectionMask(values=np.ones((16, 16)), valid=np.ones((16, 16), bool)))
     feats = Tensor(rng.standard_normal((5, 4, 4)))
     lr_c, lr_v = region_loss(feats, Tensor(feats.data.copy()), mask)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from codistill.bsd import (
     DirectionMask,
-    RegionGrid,
     bsd_loss,
     build_pixel_mask,
     build_region_mask,
@@ -15,12 +14,11 @@ from codistill.bsd import (
     pixel_loss,
     region_ce,
     region_loss,
-    region_similarity,
 )
 from codistill.errors import ConfigError
-from codistill.losses import IGNORE_LABEL, PixelCEMap, pixel_ce
+from codistill.losses import IGNORE_LABEL, PixelCEMap, cosine_distance, pixel_ce
 from codistill.recordio import read_archive
-from codistill.tensor import Tensor, log_softmax, zero_grads
+from codistill.tensor import ShapeError, Tensor, log_softmax, zero_grads
 
 from oracles import bf_cosine_map, bf_direction_mask, bf_masked_means, bf_pixel_losses, bf_region_ce
 
@@ -33,29 +31,30 @@ def random_mask(rng, h, w, valid=None):
     if valid is None:
         valid = np.ones((h, w), dtype=bool)
     values = np.where(valid, rng.integers(0, 2, (h, w)).astype(float), 0.0)
-    return DirectionMask(values=values, valid=valid, count=int(values.sum()))
+    return DirectionMask(values=values, valid=valid)
 
 
 class TestRegionGrid:
     def test_divisible(self):
-        g = RegionGrid.for_shapes((32, 32), (4, 4))
-        assert (g.block_h, g.block_w) == (8, 8)
+        m = ce_map_of(np.zeros((4, 32, 32)), np.zeros((32, 32), dtype=int))
+        assert region_ce(m, (4, 4)).shape == (4, 4)
 
     def test_indivisible_rejected(self):
+        m = ce_map_of(np.zeros((4, 30, 32)), np.zeros((30, 32), dtype=int))
         with pytest.raises(ConfigError):
-            RegionGrid.for_shapes((30, 32), (4, 4))
+            region_ce(m, (4, 4))
 
 
 class TestRegionCE:
     def test_uniform_logits(self):
         labels = np.zeros((32, 32), dtype=int)
         m = ce_map_of(np.zeros((4, 32, 32)), labels)
-        sums = region_ce(m, RegionGrid.for_shapes((32, 32), (4, 4)))
+        sums = region_ce(m, (4, 4))
         np.testing.assert_allclose(sums, 64 * math.log(4), rtol=1e-12)
 
     def test_all_ignore_gives_zeros(self):
         m = ce_map_of(np.zeros((4, 8, 8)), np.full((8, 8), IGNORE_LABEL))
-        sums = region_ce(m, RegionGrid.for_shapes((8, 8), (2, 2)))
+        sums = region_ce(m, (2, 2))
         np.testing.assert_array_equal(sums, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -64,7 +63,7 @@ class TestRegionCE:
         labels = rng.integers(0, 3, (8, 8))
         labels[rng.random((8, 8)) < 0.1] = IGNORE_LABEL
         m = ce_map_of(rng.standard_normal((3, 8, 8)), labels)
-        sums = region_ce(m, RegionGrid.for_shapes((8, 8), (4, 2)))
+        sums = region_ce(m, (4, 2))
         np.testing.assert_allclose(sums, bf_region_ce(m.values, 4, 2), rtol=1e-12)
 
 
@@ -102,17 +101,17 @@ class TestRegionMask:
 class TestRegionSimilarity:
     def test_identical_features_near_zero(self):
         f = Tensor(np.random.default_rng(0).standard_normal((6, 3, 3)))
-        assert np.abs(region_similarity(f, f).data).max() < 1e-6
+        assert np.abs(cosine_distance(f, f).data).max() < 1e-6
 
     def test_negated_features_near_two(self):
         f = Tensor(np.random.default_rng(1).standard_normal((6, 3, 3)) + 1.0)
-        assert np.abs(region_similarity(f, Tensor(-f.data)).data - 2.0).max() < 1e-6
+        assert np.abs(cosine_distance(f, Tensor(-f.data)).data - 2.0).max() < 1e-6
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         a, b = rng.standard_normal((5, 3, 3)), rng.standard_normal((5, 3, 3))
-        got = region_similarity(Tensor(a), Tensor(b)).data
+        got = cosine_distance(Tensor(a), Tensor(b)).data
         np.testing.assert_allclose(got, bf_cosine_map(a, b), rtol=1e-9)
 
 
@@ -125,14 +124,14 @@ class TestRegionLoss:
 
     def test_empty_cnn_side(self):
         rng, fc, fv = self.setup_features(2)
-        mask = DirectionMask(values=np.zeros((3, 3)), valid=np.ones((3, 3), bool), count=0)
+        mask = DirectionMask(values=np.zeros((3, 3)), valid=np.ones((3, 3), bool))
         lc, lv = region_loss(fc, fv, mask)
         assert lv.item() == 0.0
-        np.testing.assert_allclose(lc.item(), region_similarity(fc, fv).data.mean(), rtol=1e-12)
+        np.testing.assert_allclose(lc.item(), cosine_distance(fc, fv).data.mean(), rtol=1e-12)
 
     def test_full_cnn_side(self):
         rng, fc, fv = self.setup_features(3)
-        mask = DirectionMask(values=np.ones((3, 3)), valid=np.ones((3, 3), bool), count=9)
+        mask = DirectionMask(values=np.ones((3, 3)), valid=np.ones((3, 3), bool))
         lc, lv = region_loss(fc, fv, mask)
         assert lc.item() == 0.0
 
@@ -176,7 +175,7 @@ class TestPixelMask:
                     perfect[labels[i, j], i, j] = 50.0
         mask = build_pixel_mask(ce_map_of(perfect, labels), ce_map_of(np.zeros((3, 4, 4)), labels))
         assert mask.count == 14  # every valid pixel
-        assert mask.complement_count == 0
+        assert mask.toward_vit.sum() == 0
         np.testing.assert_array_equal(mask.values[0, :2], [0.0, 0.0])  # ignored pixels forced to 0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -188,7 +187,7 @@ class TestPixelMask:
         mv = ce_map_of(rng.standard_normal((3, 6, 6)), labels)
         mask = build_pixel_mask(mc, mv)
         np.testing.assert_array_equal(mask.values, bf_direction_mask(mc.values, mv.values, mc.valid))
-        assert mask.count + mask.complement_count == int(mc.valid.sum())
+        assert mask.count + mask.toward_vit.sum() == int(mc.valid.sum())
 
 
 class TestPixelLoss:
@@ -204,7 +203,7 @@ class TestPixelLoss:
         rng = np.random.default_rng(8)
         p = Tensor(rng.standard_normal((3, 4, 4)))
         q = Tensor(rng.standard_normal((3, 4, 4)))
-        mask = DirectionMask(values=np.zeros((4, 4)), valid=np.ones((4, 4), bool), count=0)
+        mask = DirectionMask(values=np.zeros((4, 4)), valid=np.ones((4, 4), bool))
         _, lv = pixel_loss(log_softmax(p, axis=-3), log_softmax(q, axis=-3), mask)
         assert lv.item() == 0.0
 
@@ -232,6 +231,26 @@ class TestPixelLoss:
         zero_grads([p, q])
         lv.backward()
         assert q.grad is not None and p.grad is None
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("loss, channels", [(region_loss, 5), (pixel_loss, 3)])
+    def test_losses_reject_mismatched_maps_or_mask(self, loss, channels):
+        rng = np.random.default_rng(14)
+        a = Tensor(rng.standard_normal((channels, 4, 4)))
+        mask = random_mask(rng, 4, 4)
+        for other in ((channels, 4, 2), (channels + 1, 4, 4), (1, channels, 4, 4)):
+            with pytest.raises(ShapeError):
+                loss(a, Tensor(rng.standard_normal(other)), mask)
+        with pytest.raises(ShapeError):
+            loss(a, Tensor(a.data.copy()), random_mask(rng, 2, 4))
+
+    def test_masks_reject_votes_of_different_shapes(self):
+        with pytest.raises(ShapeError):
+            build_region_mask(np.zeros((3, 3)), np.zeros((3, 4)))
+        labels = np.zeros((4, 4), dtype=int)
+        with pytest.raises(ShapeError):
+            build_pixel_mask(ce_map_of(np.zeros((3, 4, 4)), labels), ce_map_of(np.zeros((3, 4, 2)), labels[:, :2]))
 
 
 class TestBsdCombine:
@@ -267,7 +286,7 @@ class TestSelectiveProperties:
         to_cnn = mask.valid & (mask.values == 0.0)
         assert not np.any(to_vit & to_cnn)
         np.testing.assert_array_equal(to_vit | to_cnn, mask.valid)
-        assert mask.count == to_vit.sum() and mask.complement_count == to_cnn.sum()
+        assert mask.count == to_vit.sum() and mask.toward_vit.sum() == to_cnn.sum()
 
     def test_student_swap_antisymmetry(self):
         rng = np.random.default_rng(11)
@@ -279,7 +298,7 @@ class TestSelectiveProperties:
         lc1, lv1 = region_loss(fc, fv, fwd)
         lc2, lv2 = region_loss(fc, fv, rev)
         # swapped votes exchange which regions feed which loss
-        s = region_similarity(fc, fv).data
+        s = cosine_distance(fc, fv).data
         exp_c2, exp_v2 = bf_masked_means(s, 1.0 - fwd.values)
         np.testing.assert_allclose(lc2.item(), exp_c2, rtol=1e-9)
         np.testing.assert_allclose(lv2.item(), exp_v2, rtol=1e-9)
@@ -308,12 +327,12 @@ class TestSelectiveProperties:
         pv = Tensor(rng.standard_normal((3, 6, 6)), requires_grad=True)
         for ones in (0, 9):
             values = np.zeros((3, 3)) if ones == 0 else np.ones((3, 3))
-            mask = DirectionMask(values=values, valid=np.ones((3, 3), bool), count=ones)
+            mask = DirectionMask(values=values, valid=np.ones((3, 3), bool))
             lc, lv = region_loss(fc, fv, mask)
             assert math.isfinite(lc.item()) and math.isfinite(lv.item())
         for ones in (0, 36):
             values = np.zeros((6, 6)) if ones == 0 else np.ones((6, 6))
-            mask = DirectionMask(values=values, valid=np.ones((6, 6), bool), count=ones)
+            mask = DirectionMask(values=values, valid=np.ones((6, 6), bool))
             lc, lv = pixel_loss(log_softmax(pc, axis=-3), log_softmax(pv, axis=-3), mask)
             assert math.isfinite(lc.item()) and math.isfinite(lv.item())
             total = lc + lv
@@ -330,10 +349,10 @@ class TestSelectionDump:
         labels = rng.integers(0, 3, (8, 8))
         mc = ce_map_of(rng.standard_normal((3, 8, 8)), labels)
         mv = ce_map_of(rng.standard_normal((3, 8, 8)), labels)
-        grid = RegionGrid.for_shapes((8, 8), (2, 2))
+        grid = (2, 2)
         rmask = build_region_mask(region_ce(mc, grid), region_ce(mv, grid))
         pmask = build_pixel_mask(mc, mv)
-        sim = region_similarity(Tensor(rng.standard_normal((5, 2, 2))), Tensor(rng.standard_normal((5, 2, 2))))
+        sim = cosine_distance(Tensor(rng.standard_normal((5, 2, 2))), Tensor(rng.standard_normal((5, 2, 2))))
         path = tmp_path / "selection.bin"
         dump_selection_state(path, sim, rmask, mc, mv, pmask)
         back = read_archive(path)

@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -301,3 +304,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--n", "4"])  # no --out
         assert exc.value.code == 2
+
+    def test_recipe_commands_parse(self, tmp_path):
+        """Every `codistill …` line of the recipe scripts is accepted by the CLI parser."""
+        scripts = sorted((Path(__file__).parents[1] / "scripts").glob("*.sh"))
+        assert len(scripts) == 3
+        for script in scripts:
+            lines = [line for line in script.read_text().splitlines() if line.startswith("codistill ")]
+            assert lines, script.name
+            for line in lines:
+                argv = shlex.split(line.replace("$OUT", str(tmp_path)))[1:]
+                assert make_parser().parse_args(argv).command == argv[0]

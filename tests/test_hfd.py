@@ -12,7 +12,7 @@ from codistill.hfd import (
     init_adapter,
     init_adapters,
 )
-from codistill.losses import mean_cosine_distance
+from codistill.losses import cosine_distance
 from codistill.students import (
     ArchConfig,
     cnn_forward,
@@ -149,7 +149,7 @@ class TestHfdLossCnn:
         out_v = vit_forward(x, params_v, CFG)
         loss = hfd_loss_cnn(out_c.f1, adapters.c1, params_v, CFG, out_v.f2)
         crossed = vit_second_stage(apply_adapter(out_c.f1, adapters.c1), detach_params(params_v), CFG)
-        expect = mean_cosine_distance(crossed, out_v.f2.detach(), axis=0)
+        expect = cosine_distance(crossed, out_v.f2.detach()).mean()
         assert loss.item() == expect.item()
 
     def test_gradients_on_the_live_path(self, setup):
@@ -187,7 +187,7 @@ class TestHfdLossVit:
         out_v = vit_forward(x, params_v, CFG)
         loss = hfd_loss_vit(out_v.f1, adapters.v1, params_c, CFG, out_c.f2)
         crossed = mlp_block(apply_adapter(out_v.f1, adapters.v1), detach_params(params_c))
-        expect = mean_cosine_distance(crossed, out_c.f2.detach(), axis=0)
+        expect = cosine_distance(crossed, out_c.f2.detach()).mean()
         assert loss.item() == expect.item()
 
 

@@ -14,7 +14,6 @@ from codistill.students import (
     init_cnn_params,
     init_vit_params,
     mlp_block,
-    param_count,
     vit_forward,
     vit_second_stage,
 )
@@ -214,7 +213,7 @@ class TestBatchAxis:
 class TestBudgetAndDeterminism:
     def test_parameter_budget(self, default_pair):
         params_c, params_v = default_pair
-        assert param_count(params_c) + param_count(params_v) < 50_000
+        assert sum(p.size for params in (params_c, params_v) for p in params.values()) < 50_000
 
     def test_detach_params_blocks_gradients(self, default_pair):
         params_c, _ = default_pair

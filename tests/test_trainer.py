@@ -6,12 +6,12 @@ import pytest
 from codistill.data import SynthSpec, generate_dataset
 from codistill.errors import ConfigError, DataError, TrainingError
 from codistill.hfd import apply_adapter, hfd_loss_cnn
-from codistill.bsd import RegionGrid, build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
+from codistill.bsd import build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
 from codistill import trainer
 from codistill.losses import IGNORE_LABEL, pixel_ce
 from codistill.recordio import read_archive, write_archive
 from codistill.students import ArchConfig, StudentOutputs, cnn_forward, vit_forward
-from codistill.tensor import Tensor, log_softmax, zero_grads
+from codistill.tensor import Tensor, div, log_softmax, zero_grads
 from codistill.trainer import (
     AdamW,
     AdamWConfig,
@@ -142,7 +142,7 @@ class TestTotalObjective:
         hfd_c = hfd_loss_cnn(out_c.f1, state.adapters.c1, state.params_v, MICRO, out_v.f2)
         fl_c = apply_adapter(out_c.fl, state.adapters.cl)
         fl_v = apply_adapter(out_v.fl, state.adapters.vl)
-        grid = RegionGrid.for_shapes(labels.shape, fl_c.shape[1:])
+        grid = fl_c.shape[1:]
         rmask = build_region_mask(region_ce(map_c, grid), region_ce(map_v, grid))
         lr_c, _ = region_loss(fl_c, fl_v, rmask)
         pmask = build_pixel_mask(map_c, map_v)
@@ -278,6 +278,26 @@ class TestTrainStep:
         with pytest.raises(TrainingError, match=r"non-finite l_\w+ .*at step 1"):
             train_step(dataset[:2], state, tcfg)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_stops_before_any_update(self, dataset, monkeypatch):
+        tcfg = micro_tcfg(steps=1)
+        state = make_train_state(MICRO, tcfg)
+
+        def overflowing_objective(out_c, out_v, labels, params_c, *rest):
+            # finite value (0 / 1e-320 is 0) whose gradient is inf * 0 = nan
+            loss_c, loss_v, parts = total_objective(out_c, out_v, labels, params_c, *rest)
+            return loss_c + div(params_c["head_b"].sum() * 0.0, 1e-320), loss_v, parts
+
+        monkeypatch.setattr(trainer, "total_objective", overflowing_objective)
+        params = [*state.params_c.values(), *state.params_v.values()]
+        params += [p for _, p in state.adapters.cnn_side() + state.adapters.vit_side()]
+        before = [p.data.copy() for p in params]
+        with pytest.raises(TrainingError, match=r"non-finite gradient for cnn/head_b at step 1"):
+            train_step(dataset[:2], state, tcfg)
+        for p, data in zip(params, before):
+            np.testing.assert_array_equal(p.data, data)
+        assert state.step == 0 and state.opt_v.t == 0
+
 
 class TestRunTraining:
     def test_record_count_and_mask_bounds(self, dataset):
@@ -374,7 +394,7 @@ class TestRunTraining:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("config/input_hw", [16.0, 16.0, 16.0]), ("config/num_classes", [3.0, 3.0]), ("config/num_heads", [float("nan")]), ("config/ffn_ratio", [float("inf")]), ("config/num_classes", [1.0]), ("config/num_heads", [2.5]), ("config/input_hw", [[16.0, 16.0], [16.0, 16.0]])],
+        [("config/input_hw", [16.0, 16.0, 16.0]), ("config/num_classes", [3.0, 3.0]), ("config/num_heads", [float("nan")]), ("config/ffn_ratio", [float("inf")]), ("config/num_classes", [1.0]), ("config/num_heads", [2.5]), ("config/input_hw", [[16.0, 16.0], [16.0, 16.0]]), ("config/num_classes", [1e300]), ("config/ffn_ratio", [2.0**62])],
     )
     def test_bad_checkpoint_config_raises_data_error(self, tmp_path, name, value):
         state = make_train_state(MICRO, micro_tcfg())
