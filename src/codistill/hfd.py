@@ -93,8 +93,8 @@ class AdapterSet:
         return self.v1.named_tensors("adapter_v1") + self.vl.named_tensors("adapter_vl")
 
 
-def init_adapters(cfg: ArchConfig, rng) -> AdapterSet:
-    """The four adapters for a config, with geometry derived from it.
+def adapter_geometry(cfg: ArchConfig) -> dict:
+    """Adapter name -> (c_in, c_out, pool) for a config, in initialisation order.
 
     c1/v1 reshape first features across students; cl/vl reshape last
     features onto the shared region grid (common channels = the CNN's
@@ -104,12 +104,17 @@ def init_adapters(cfg: ArchConfig, rng) -> AdapterSet:
     d1, _, d3 = cfg.vit_dims
     f1c, f1v = cfg.cnn_feature_hw("f1"), cfg.vit_feature_hw("f1")
     flc, flv = cfg.cnn_feature_hw("fl"), cfg.vit_feature_hw("fl")
-    return AdapterSet(
-        c1=init_adapter(c1, d1, _pool_factor(f1c, f1v, "first-feature adapter (cnn->vit)"), rng),
-        v1=init_adapter(d1, c1, _pool_factor(f1v, f1c, "first-feature adapter (vit->cnn)"), rng),
-        cl=init_adapter(c3, c3, _pool_factor(flc, flv, "last-feature adapter (cnn)"), rng),
-        vl=init_adapter(d3, c3, _pool_factor(flv, flv, "last-feature adapter (vit)"), rng),
-    )
+    return {
+        "c1": (c1, d1, _pool_factor(f1c, f1v, "first-feature adapter (cnn->vit)")),
+        "v1": (d1, c1, _pool_factor(f1v, f1c, "first-feature adapter (vit->cnn)")),
+        "cl": (c3, c3, _pool_factor(flc, flv, "last-feature adapter (cnn)")),
+        "vl": (d3, c3, _pool_factor(flv, flv, "last-feature adapter (vit)")),
+    }
+
+
+def init_adapters(cfg: ArchConfig, rng) -> AdapterSet:
+    """The four adapters for a config, with geometry derived from it."""
+    return AdapterSet(**{name: init_adapter(*geometry, rng) for name, geometry in adapter_geometry(cfg).items()})
 
 
 def hfd_loss_cnn(f1_c: Tensor, adapter_c1: FeatureAdapter, vit_params: StudentParams, cfg: ArchConfig, f2_v: Tensor) -> Tensor:

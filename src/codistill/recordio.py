@@ -21,6 +21,7 @@ from .errors import DataError
 
 MAGIC = b"CODI"
 VERSION = 1
+MAX_DIM = 2**32 - 1  # dims are stored as u32
 
 
 def write_archive(path, records) -> None:

@@ -30,13 +30,13 @@ from .errors import ConfigError
 from .tensor import (
     ShapeError,
     Tensor,
+    attention,
     bilinear_upsample,
     conv2d,
     gelu,
     layer_norm,
     matmul,
     relu,
-    softmax,
 )
 
 StudentParams = dict  # name -> Tensor
@@ -101,68 +101,76 @@ class StudentOutputs:
     fl: Tensor
 
 
-def _uniform(rng, shape, fan_in):
-    s = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-s, s, shape), requires_grad=True)
+# A parameter table maps each name to (shape, init), where init is "zeros",
+# "ones" or a fan-in for uniform(±1/sqrt(fan_in)). Shapes come from the
+# config alone, so a checkpoint can be checked against them before any
+# array is allocated.
+
+def _init_params(specs: dict, rng) -> StudentParams:
+    """Tracked tensors for a parameter table; uniform entries draw from rng in table order."""
+    params = {}
+    for name, (shape, init) in specs.items():
+        if init == "zeros":
+            data = np.zeros(shape)
+        elif init == "ones":
+            data = np.ones(shape)
+        else:
+            s = 1.0 / np.sqrt(init)
+            data = rng.uniform(-s, s, shape)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
 
 
-def _zeros(shape):
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def _ones(shape):
-    return Tensor(np.ones(shape), requires_grad=True)
-
-
-def init_cnn_params(cfg: ArchConfig, rng) -> StudentParams:
+def cnn_param_specs(cfg: ArchConfig) -> dict:
     c1, c2, c3 = cfg.cnn_channels
     k = cfg.num_classes
     return {
-        "conv1_w": _uniform(rng, (c1, 3, 4, 4), 3 * 16),
-        "conv1_b": _zeros(c1),
-        "conv2_w": _uniform(rng, (c2, c1, 4, 4), c1 * 16),
-        "conv2_b": _zeros(c2),
-        "conv3_w": _uniform(rng, (c3, c2, 3, 3), c2 * 9),
-        "conv3_b": _zeros(c3),
-        "head_w": _uniform(rng, (k, c3, 1, 1), c3),
-        "head_b": _zeros(k),
+        "conv1_w": ((c1, 3, 4, 4), 3 * 16),
+        "conv1_b": ((c1,), "zeros"),
+        "conv2_w": ((c2, c1, 4, 4), c1 * 16),
+        "conv2_b": ((c2,), "zeros"),
+        "conv3_w": ((c3, c2, 3, 3), c2 * 9),
+        "conv3_b": ((c3,), "zeros"),
+        "head_w": ((k, c3, 1, 1), c3),
+        "head_b": ((k,), "zeros"),
     }
 
 
-def _attn_stage_params(rng, d, ffn_ratio):
-    hidden = ffn_ratio * d
-    return {
-        "ln1_g": _ones(d),
-        "ln1_b": _zeros(d),
-        "wq": _uniform(rng, (d, d), d),
-        "wk": _uniform(rng, (d, d), d),
-        "wv": _uniform(rng, (d, d), d),
-        "ln2_g": _ones(d),
-        "ln2_b": _zeros(d),
-        "ffn_w1": _uniform(rng, (d, hidden), d),
-        "ffn_b1": _zeros(hidden),
-        "ffn_w2": _uniform(rng, (hidden, d), hidden),
-        "ffn_b2": _zeros(d),
-    }
+def vit_param_specs(cfg: ArchConfig) -> dict:
+    d1, d2, d3 = cfg.vit_dims
+    p = cfg.patch_size
+    specs = {"patch_w": ((d1, 3, p, p), 3 * p * p), "patch_b": ((d1,), "zeros")}
+    for stage, d in ((1, d1), (2, d2), (3, d3)):
+        hidden = cfg.ffn_ratio * d
+        stage_specs = {
+            "ln1_g": ((d,), "ones"),
+            "ln1_b": ((d,), "zeros"),
+            "wq": ((d, d), d),
+            "wk": ((d, d), d),
+            "wv": ((d, d), d),
+            "ln2_g": ((d,), "ones"),
+            "ln2_b": ((d,), "zeros"),
+            "ffn_w1": ((d, hidden), d),
+            "ffn_b1": ((hidden,), "zeros"),
+            "ffn_w2": ((hidden, d), hidden),
+            "ffn_b2": ((d,), "zeros"),
+        }
+        specs.update((f"s{stage}_{name}", spec) for name, spec in stage_specs.items())
+    specs["down2_w"] = ((d2, d1, 2, 2), d1 * 4)
+    specs["down2_b"] = ((d2,), "zeros")
+    specs["down3_w"] = ((d3, d2, 2, 2), d2 * 4)
+    specs["down3_b"] = ((d3,), "zeros")
+    specs["head_w"] = ((cfg.num_classes, d3, 1, 1), d3)
+    specs["head_b"] = ((cfg.num_classes,), "zeros")
+    return specs
+
+
+def init_cnn_params(cfg: ArchConfig, rng) -> StudentParams:
+    return _init_params(cnn_param_specs(cfg), rng)
 
 
 def init_vit_params(cfg: ArchConfig, rng) -> StudentParams:
-    d1, d2, d3 = cfg.vit_dims
-    p = cfg.patch_size
-    params = {
-        "patch_w": _uniform(rng, (d1, 3, p, p), 3 * p * p),
-        "patch_b": _zeros(d1),
-    }
-    for stage, d in ((1, d1), (2, d2), (3, d3)):
-        for name, t in _attn_stage_params(rng, d, cfg.ffn_ratio).items():
-            params[f"s{stage}_{name}"] = t
-    params["down2_w"] = _uniform(rng, (d2, d1, 2, 2), d1 * 4)
-    params["down2_b"] = _zeros(d2)
-    params["down3_w"] = _uniform(rng, (d3, d2, 2, 2), d2 * 4)
-    params["down3_b"] = _zeros(d3)
-    params["head_w"] = _uniform(rng, (cfg.num_classes, d3, 1, 1), d3)
-    params["head_b"] = _zeros(cfg.num_classes)
-    return params
+    return _init_params(vit_param_specs(cfg), rng)
 
 
 def detach_params(params: StudentParams) -> StudentParams:
@@ -194,7 +202,8 @@ def attention_mix(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads:
 
     d is the per-head key dimension. No output projection: the mixing step
     is exactly the scaled-dot-product form. All heads (and any leading
-    batch axes) run as one batched matmul; Q is scaled before the product.
+    batch axes) go through one ``attention`` node; Q is scaled before the
+    product, so the node sees plain softmax(q kᵀ) v.
     """
     *lead, n, dim = tokens.shape
     if dim % num_heads:
@@ -207,9 +216,9 @@ def attention_mix(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads:
         return t.reshape(*lead, n, num_heads, dh).transpose(split)
 
     q = heads(matmul(tokens, wq) * (1.0 / np.sqrt(dh)))
-    k = heads(matmul(tokens, wk)).transpose(*range(nl + 1), nl + 2, nl + 1)
+    k = heads(matmul(tokens, wk))
     v = heads(matmul(tokens, wv))
-    mixed = matmul(softmax(matmul(q, k), axis=-1), v)
+    mixed = attention(q, k, v)
     return mixed.transpose(split).reshape(*lead, n, dim)
 
 

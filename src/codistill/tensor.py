@@ -451,18 +451,46 @@ def avg_pool2d(x, k, stride=None):
     return _make(data, (x,), backward)
 
 
-def softmax(x, axis):
-    x = _lift(x)
-    s = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=axis, keepdims=True)
+def attention(q, k, v):
+    """softmax(q kᵀ) v over the last two axes of (..., T, d) operands, as one node.
+
+    q, k and v share their leading axes; k and v share T, q and k share d.
+    The T×T weights P are built in place in one buffer and kept for the
+    backward, which needs no second T×T array: with the output O,
+    rowsum(dP ⊙ P) = rowsum(dO ⊙ O), so dS = (dO vᵀ − rowsum(dO ⊙ O)) ⊙ P.
+    """
+    q, k, v = _lift(q), _lift(k), _lift(v)
+    if q.ndim < 2 or k.ndim != q.ndim or k.shape[:-1] != v.shape[:-1] or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"attention needs q (...,T,d), k (...,S,d), v (...,S,e); got {tuple(q.shape)}, {tuple(k.shape)}, {tuple(v.shape)}")
+    p = q.data @ np.swapaxes(k.data, -1, -2)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = p @ v.data
 
     def backward(g):
-        gx = g - (g * s).sum(axis=axis, keepdims=True)
-        gx *= s
-        return (gx,)
+        # one (image, head) slice at a time, so each T×T dS stays in cache
+        ps, gs = p.reshape(-1, *p.shape[-2:]), g.reshape(-1, *g.shape[-2:])
+        qs, ks, vs = (t.data.reshape(-1, *t.shape[-2:]) for t in (q, k, v))
+        gq = np.empty(qs.shape) if q.requires_grad else None
+        gk = np.empty(ks.shape) if k.requires_grad else None
+        gv = np.empty(vs.shape) if v.requires_grad else None
+        rows = (g * out).sum(axis=-1, keepdims=True).reshape(len(ps), -1, 1)
+        for i, pi in enumerate(ps):
+            if gv is not None:
+                np.matmul(pi.T, gs[i], out=gv[i])
+            if gq is None and gk is None:
+                continue
+            ds = gs[i] @ vs[i].T
+            ds -= rows[i]
+            ds *= pi
+            if gq is not None:
+                np.matmul(ds, ks[i], out=gq[i])
+            if gk is not None:
+                np.matmul(ds.T, qs[i], out=gk[i])
+        return tuple(None if gt is None else gt.reshape(t.shape) for gt, t in ((gq, q), (gk, k), (gv, v)))
 
-    return _make(s, (x,), backward)
+    return _make(out, (q, k, v), backward)
 
 
 def log_softmax(x, axis):

@@ -23,18 +23,20 @@ import numpy as np
 from .bsd import bsd_loss, build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
 from .data import ConfusionMatrix, miou_from_confusion, predict_labels, update_confusion
 from .errors import ConfigError, DataError, TrainingError
-from .hfd import AdapterSet, apply_adapter, hfd_loss_cnn, hfd_loss_vit, init_adapters
+from .hfd import AdapterSet, adapter_geometry, apply_adapter, hfd_loss_cnn, hfd_loss_vit, init_adapters
 from .losses import pixel_ce
-from .recordio import read_archive, write_archive
+from .recordio import MAX_DIM, read_archive, write_archive
 from .seeding import substream
 from .students import (
     ArchConfig,
     StudentParams,
     cnn_forward,
+    cnn_param_specs,
     detach_params,
     init_cnn_params,
     init_vit_params,
     vit_forward,
+    vit_param_specs,
 )
 from .tensor import Tensor, log_softmax, zero_grads
 
@@ -328,14 +330,24 @@ def save_checkpoint(path, acfg: ArchConfig, params_c, params_v, adapters: Adapte
     write_archive(path, records)
 
 
+def _record_shapes(acfg: ArchConfig) -> dict:
+    """Record name -> shape of every trainable tensor, from the config alone."""
+    shapes = {f"cnn/{name}": shape for name, (shape, _) in cnn_param_specs(acfg).items()}
+    shapes.update((f"vit/{name}", shape) for name, (shape, _) in vit_param_specs(acfg).items())
+    for name, (c_in, c_out, _) in adapter_geometry(acfg).items():
+        shapes[f"adapter_{name}/weight"] = (c_out, c_in, 1, 1)
+        shapes[f"adapter_{name}/bias"] = (c_out,)
+    return shapes
+
+
 def load_checkpoint(path):
     """(ArchConfig, CNN params, ViT params, AdapterSet) from a checkpoint.
 
     The checkpoint must hold exactly the records save_checkpoint writes for
     its stored architecture: a missing, unexpected or wrong-shaped record,
     a non-integer config value, or an architecture that is invalid or too
-    large to build raises DataError. Every record is checked before any
-    stored array is assigned.
+    large for the archive raises DataError. Every record is checked against
+    the shapes the config implies before any parameter is allocated.
     """
     blob = read_archive(path)
     config_names = [f"config/{f.name}" for f in fields(ArchConfig)]
@@ -350,23 +362,24 @@ def load_checkpoint(path):
                 raise ValueError(f"{name} = {stored.tolist()} is not a row of integers")
             kwargs[f.name] = tuple(int(v) for v in stored) if isinstance(f.default, tuple) else int(stored.item())
         acfg = ArchConfig(**kwargs)
-        rng = np.random.default_rng(0)
-        params_c, params_v, adapters = init_cnn_params(acfg, rng), init_vit_params(acfg, rng), init_adapters(acfg, rng)
-    except (ValueError, MemoryError) as exc:
-        # numpy rejects a skeleton too large to index with ValueError, and
-        # one too large to allocate with MemoryError
+        shapes = _record_shapes(acfg)
+        for name, shape in shapes.items():
+            if max(shape) > MAX_DIM:
+                raise ValueError(f"{name} would need a dimension above {MAX_DIM}")
+    except ValueError as exc:
         raise DataError(f"{path}: bad architecture config: {exc}") from exc
-    records = _param_records(params_c, params_v, adapters)
-    expected = set(config_names) | {name for name, _ in records}
+    expected = set(config_names) | set(shapes)
     for name in blob:
         if name not in expected:
             raise DataError(f"{path}: unexpected checkpoint record {name}")
-    for name, p in records:
+    for name, shape in shapes.items():
         if name not in blob:
             raise DataError(f"{path}: checkpoint lacks record {name}")
-        if blob[name].shape != p.shape:
-            raise DataError(f"{path}: record {name} has shape {blob[name].shape}, expected {p.shape}")
-    for name, p in records:
+        if blob[name].shape != shape:
+            raise DataError(f"{path}: record {name} has shape {blob[name].shape}, expected {shape}")
+    rng = np.random.default_rng(0)
+    params_c, params_v, adapters = init_cnn_params(acfg, rng), init_vit_params(acfg, rng), init_adapters(acfg, rng)
+    for name, p in _param_records(params_c, params_v, adapters):
         p.data = blob[name]
     return acfg, params_c, params_v, adapters
 

@@ -6,6 +6,8 @@ catalogue backs the per-op unit tests and the timed acceptance sweep.
 Composite end-to-end loss checks live in gradsuite_composites.
 """
 
+import numpy as np
+
 from codistill import tensor as T
 
 
@@ -86,9 +88,17 @@ def op_checks():
 
     @register("softmax")
     def _(rng):
+        # softmax along the last axis as attention(x, I, I): q kᵀ = x and P v = P
         x = _leaf(rng, 3, 5)
+        eye = T.Tensor(np.eye(5))
         w = _frozen_weigh(rng, (3, 5))
-        return lambda: w(T.softmax(x, axis=1)), [x]
+        return lambda: w(T.attention(x, eye, eye)), [x]
+
+    @register("attention")
+    def _(rng):
+        q, k, v = _leaf(rng, 4, 3), _leaf(rng, 5, 3), _leaf(rng, 5, 2)
+        w = _frozen_weigh(rng, (4, 2))
+        return lambda: w(T.attention(q, k, v)), [q, k, v]
 
     @register("log_softmax")
     def _(rng):
@@ -198,9 +208,23 @@ def op_checks():
 
     @register("softmax_batched_class_axis")
     def _(rng):
+        # class axis -3 moved last and flattened to rows, softmaxed through attention(x, I, I), moved back
         x = _leaf(rng, 2, 3, 2, 2)
+        eye = T.Tensor(np.eye(3))
         w = _frozen_weigh(rng, (2, 3, 2, 2))
-        return lambda: w(T.softmax(x, axis=-3)), [x]
+
+        def build():
+            rows = T.reshape(T.transpose(x, (0, 2, 3, 1)), (8, 3))
+            s = T.reshape(T.attention(rows, eye, eye), (2, 2, 2, 3))
+            return w(T.transpose(s, (0, 3, 1, 2)))
+
+        return build, [x]
+
+    @register("attention_batched")
+    def _(rng):
+        q, k, v = _leaf(rng, 2, 2, 4, 3), _leaf(rng, 2, 2, 4, 3), _leaf(rng, 2, 2, 4, 3)
+        w = _frozen_weigh(rng, (2, 2, 4, 3))
+        return lambda: w(T.attention(q, k, v)), [q, k, v]
 
     @register("log_softmax_batched_class_axis")
     def _(rng):

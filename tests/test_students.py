@@ -17,7 +17,7 @@ from codistill.students import (
     vit_forward,
     vit_second_stage,
 )
-from codistill.tensor import ShapeError, Tensor, log_softmax, softmax
+from codistill.tensor import ShapeError, Tensor, log_softmax
 
 from gradcheck import check_grads
 
@@ -63,7 +63,7 @@ class TestCnnForward:
     def test_zero_input_uniform_prediction(self, default_pair):
         params_c, _ = default_pair
         out = cnn_forward(Tensor(np.zeros((3, 32, 32))), params_c, DEFAULT)
-        probs = softmax(out.prediction, axis=0).data
+        probs = np.exp(log_softmax(out.prediction, axis=0).data)
         np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
     def test_input_shape_checked(self, default_pair):
@@ -95,7 +95,7 @@ class TestVitForward:
     def test_zero_input_uniform_prediction(self, default_pair):
         _, params_v = default_pair
         out = vit_forward(Tensor(np.zeros((3, 32, 32))), params_v, DEFAULT)
-        probs = softmax(out.prediction, axis=0).data
+        probs = np.exp(log_softmax(out.prediction, axis=0).data)
         np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
     def test_ce_gradients_over_all_parameters(self):

@@ -49,23 +49,59 @@ class TestConv2d:
             T.conv2d(Tensor(np.zeros((1, 7, 7))), Tensor(np.zeros((1, 1, 2, 2))), stride=2)
 
 
+def _softmax_rows(x):
+    """softmax along the last axis as attention(x, I, I): q kᵀ = x and P v = P."""
+    eye = np.eye(np.shape(x)[-1])
+    return T.attention(Tensor(x), Tensor(eye), Tensor(eye))
+
+
 class TestSoftmax:
     def test_constant_vector_uniform(self):
-        out = T.softmax(Tensor(np.full(4, 3.3)), axis=0)
+        out = _softmax_rows(np.full((1, 4), 3.3))
         np.testing.assert_allclose(out.data, 0.25, rtol=1e-12)
 
     def test_large_magnitude_stable(self):
-        out = T.softmax(Tensor([1e4, 0.0, 0.0]), axis=0)
+        out = _softmax_rows(np.array([[1e4, 0.0, 0.0]]))
         assert np.all(np.isfinite(out.data))
-        np.testing.assert_allclose(out.data, [1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(out.data, [[1.0, 0.0, 0.0]], atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 6))
     @settings(max_examples=40, deadline=None)
     def test_rows_sum_to_one(self, seed, n, m):
-        x = Tensor(np.random.default_rng(seed).standard_normal((n, m)) * 5)
-        s = T.softmax(x, axis=1)
+        s = _softmax_rows(np.random.default_rng(seed).standard_normal((n, m)) * 5)
         np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(s.data > 0)
+
+
+def _attention_oracle(q, k, v, g):
+    """Plain-numpy softmax(q kᵀ) v and its whole-array backward for output gradient g."""
+    s = q @ np.swapaxes(k, -1, -2)
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    p = s / s.sum(axis=-1, keepdims=True)
+    out = p @ v
+    ds = (g @ np.swapaxes(v, -1, -2) - (g * out).sum(axis=-1, keepdims=True)) * p
+    return out, (ds @ k, np.swapaxes(ds, -1, -2) @ q, np.swapaxes(p, -1, -2) @ g)
+
+
+class TestAttention:
+    """One node for softmax(q kᵀ) v, checked against plain numpy."""
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["single", "batch", "batch_heads"])
+    def test_matches_numpy_oracle(self, lead):
+        rng = np.random.default_rng(14)
+        q, k = rng.standard_normal((*lead, 7, 3)) * 2, rng.standard_normal((*lead, 6, 3)) * 2
+        v, g = rng.standard_normal((*lead, 6, 4)), rng.standard_normal((*lead, 7, 4))
+        want, want_grads = _attention_oracle(q, k, v, g)
+        out = T.attention(*(Tensor(t, requires_grad=True) for t in (q, k, v)))
+        np.testing.assert_array_equal(out.data, want)
+        # slice by slice in the op, whole-array here: the same products per slice
+        for got, ref in zip(out._backward(g), want_grads):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_shape_mismatch_names_all_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(4, 3\).*\(5, 2\).*\(5, 2\)"):
+            T.attention(Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 2))), Tensor(np.zeros((5, 2))))
 
 
 class TestAvgPool:
@@ -124,6 +160,24 @@ class TestDeadGradients:
         assert gb is None
         np.testing.assert_array_equal(ga, op(a, Tensor(b.data, requires_grad=True))._backward(g)[0])
         assert op(b, a)._backward(g)[0] is None
+
+    @pytest.mark.parametrize("tracked", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)])
+    def test_attention_untracked_parents_get_none(self, tracked):
+        rng = np.random.default_rng(15)
+        arrays = [rng.standard_normal((2, 5, 3)) for _ in range(3)]
+        g = rng.standard_normal((2, 5, 3))
+        grads = T.attention(*(Tensor(a, requires_grad=bool(t)) for a, t in zip(arrays, tracked)))._backward(g)
+        live = T.attention(*(Tensor(a, requires_grad=True) for a in arrays))._backward(g)
+        for t, got, ref in zip(tracked, grads, live):
+            if t:
+                np.testing.assert_array_equal(got, ref)
+            else:
+                assert got is None
+
+    def test_attention_without_tracked_parent_records_nothing(self):
+        rng = np.random.default_rng(16)
+        out = T.attention(*(Tensor(rng.standard_normal((2, 5, 3))) for _ in range(3)))
+        assert not out.requires_grad and out._parents == () and out._backward is None
 
 
 class TestBatchAxis:
@@ -199,7 +253,7 @@ class TestForwardHygiene:
 
         def run():
             out = T.gelu(T.conv2d(Tensor(x), Tensor(w), stride=1, padding=1))
-            return T.softmax(out, axis=0).data.tobytes()
+            return T.log_softmax(out, axis=0).data.tobytes() + T.attention(out, out, out).data.tobytes()
 
         assert run() == run()
 
@@ -209,7 +263,7 @@ class TestForwardHygiene:
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((2, 4, 4)) * 100)
         ops = [
-            T.softmax(x, axis=0),
+            T.attention(x, x, x),
             T.log_softmax(x, axis=0),
             T.relu(x),
             T.gelu(x),

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import codistill
 
 from codistill.data import SynthSpec, generate_dataset
 from codistill.errors import ConfigError, DataError, TrainingError
@@ -299,6 +305,39 @@ class TestTrainStep:
         assert state.step == 0 and state.opt_v.t == 0
 
 
+def _tape_ops(loss):
+    """Op name of every recorded node reachable from a loss (leaves are not nodes)."""
+    seen, stack, ops = set(), [loss], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._parents:
+            seen.add(id(t))
+            ops.append(t._backward.__qualname__.split(".")[0])
+            stack.extend(t._parents)
+    return ops
+
+
+class TestTapeStructure:
+    """Node counts of one default batch-8 step: counts, not timings."""
+
+    @pytest.mark.parametrize("kw, nodes, attention", [({}, 231, 4), (dict(beta=0.0, gamma=0.0), 121, 3)], ids=["full", "ce_only"])
+    def test_default_step_tape(self, monkeypatch, kw, nodes, attention):
+        # one attention node per ViT stage, plus HFD's borrowed ViT stage 2
+        losses = []
+
+        def capture(*args):
+            out = total_objective(*args)
+            losses.extend(out[:2])
+            return out
+
+        monkeypatch.setattr(trainer, "total_objective", capture)
+        tcfg = TrainConfig(**kw)
+        train_step(generate_dataset(SynthSpec(), 8), make_train_state(ArchConfig(), tcfg), tcfg)
+        ops = [op for loss in losses for op in _tape_ops(loss)]
+        assert len(ops) == nodes
+        assert ops.count("attention") == attention
+
+
 class TestRunTraining:
     def test_record_count_and_mask_bounds(self, dataset):
         tcfg = micro_tcfg(steps=7)
@@ -403,6 +442,32 @@ class TestRunTraining:
         write_archive(path, [(n, np.array(value) if n == name else arr) for n, arr in read_archive(path).items()])
         with pytest.raises(DataError, match="bad architecture config"):
             load_checkpoint(path)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_oversized_config_rejected_before_allocation(self, tmp_path):
+        """A 1e6-class config fails its shape check before building parameters
+        (about 114 MiB for this architecture if it did not)."""
+        state = make_train_state(MICRO, micro_tcfg())
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, MICRO, state.params_c, state.params_v, state.adapters)
+        write_archive(path, [(n, np.array([1e6]) if n == "config/num_classes" else arr) for n, arr in read_archive(path).items()])
+        # peak RSS never falls, so the load runs in a fresh process
+        child = (
+            "import resource, sys\n"
+            "from codistill.errors import DataError\n"
+            "from codistill.trainer import load_checkpoint\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "try:\n"
+            "    load_checkpoint(sys.argv[1])\n"
+            "except DataError as exc:\n"
+            "    print(exc)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(codistill.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", child, str(path)], capture_output=True, text=True, env=env, timeout=120, check=True)
+        message, grown_kib = done.stdout.splitlines()
+        assert "record cnn/head_w has shape (3, 8, 1, 1), expected (1000000, 8, 1, 1)" in message
+        assert int(grown_kib) < 50 * 1024
 
     def test_evaluate_independent_of_chunk_size(self, dataset, monkeypatch):
         state = make_train_state(MICRO, micro_tcfg())
