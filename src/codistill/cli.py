@@ -16,6 +16,7 @@ from pathlib import Path
 from . import __version__
 from .data import SynthSpec, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, DataError, MetricError, TrainingError
+from .recordio import replacing
 from .students import ArchConfig
 from .trainer import TrainConfig, evaluate, load_checkpoint, run_training
 
@@ -118,7 +119,18 @@ def write_manifest(path, acfg, tcfg, meta) -> None:
     lines = [f"# {key} = {value}" for key, value in {"build_tag": build_tag(), **meta}.items()]
     for key, value in (*_flatten(tcfg), *_flatten(acfg)):
         lines.append(f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with replacing(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def _out_dir(path) -> Path:
+    """The --out directory, created with its parents if missing."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror or exc}") from exc
+    return path
 
 
 # commands ---------------------------------------------------------------
@@ -133,7 +145,7 @@ def cmd_gen(args) -> int:
         noise=args.noise,
         seed=args.seed,
     )
-    save_dataset(args.out, generate_dataset(spec, args.n))
+    save_dataset(_out_dir(args.out), generate_dataset(spec, args.n))
     print(f"wrote {args.n} records to {args.out}")
     return 0
 
@@ -157,8 +169,7 @@ def _prepare(args) -> tuple:
 
 
 def _run_one_training(args, datasets, acfg, tcfg, out_dir):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out_dir)
     meta = {"data": args.data, "eval_data": args.eval_data or args.data, "out": out_dir}
     write_manifest(out_dir / "manifest.txt", acfg, tcfg, meta)
     return run_training(*datasets, acfg, tcfg, out_dir=out_dir)

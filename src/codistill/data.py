@@ -99,7 +99,10 @@ def save_record(path, image: np.ndarray, labels: np.ndarray) -> None:
 
 
 def load_record(path):
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read record {path}: {exc.strerror or exc}") from exc
     if len(blob) < 12:
         raise DataError(f"{path}: unexpected record size {len(blob)}")
     c, h, w = struct.unpack_from("<III", blob, 0)

@@ -12,7 +12,9 @@ Round-trips are byte-exact; record order is preserved.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +26,34 @@ VERSION = 1
 MAX_DIM = 2**32 - 1  # dims are stored as u32
 
 
+@contextmanager
+def replacing(path):
+    """A binary file handle whose bytes replace `path` only once all are written.
+
+    They go to `<path>.tmp` in the same directory, which ``os.replace``
+    then moves over `path`; on any error the temp file is removed and
+    `path` is left as it was. There is no fsync: this guards against a
+    failed or interrupted write, not against a power cut.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_archive(path, records) -> None:
-    """records: iterable of (name, array-like); order is preserved on disk."""
+    """records: iterable of (name, array-like); order is preserved on disk.
+
+    The write is atomic (see ``replacing``): a failure leaves any earlier
+    file at `path` untouched.
+    """
     items = [(name, np.ascontiguousarray(arr, dtype="<f8")) for name, arr in records]
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(items)))
         for name, arr in items:
@@ -46,7 +72,10 @@ def read_archive(path) -> dict:
     DataError naming the byte offset.
     """
     path = Path(path)
-    view = memoryview(path.read_bytes())
+    try:
+        view = memoryview(path.read_bytes())
+    except OSError as exc:
+        raise DataError(f"cannot read archive {path}: {exc.strerror or exc}") from exc
     if bytes(view[:4]) != MAGIC:
         raise DataError(f"{path}: bad magic {bytes(view[:4])!r}, expected {MAGIC!r}")
     ofs = 4

@@ -6,9 +6,13 @@ recorded graph in reverse topological order. Ops whose inputs are all
 untracked record nothing, so constant subgraphs cost no backward work.
 
 Conventions: row-major float64 everywhere, tensors are treated as
-immutable once produced by an op, gradients accumulate across backward
-calls until ``zero_grads`` resets them. Backward closures return None for
-a parent that does not require a gradient rather than computing one that
+immutable once produced by an op. ``backward()`` sets ``.grad`` on tracked
+leaves only (the parameters and any tensor built directly with
+``requires_grad=True``); interior gradients are dropped as soon as their
+closure has consumed them. Leaf gradients accumulate across backward
+calls until ``zero_grads`` resets them. Backward closures never write into
+their incoming gradient or into a parent's data, and return None for a
+parent that does not require a gradient rather than computing one that
 would be discarded. Ops take optional leading batch axes.
 """
 
@@ -66,7 +70,15 @@ class Tensor:
         return Tensor(self.data)
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(t) into t.grad for every tracked tensor t."""
+        """Accumulate d(self)/d(t) into t.grad for every tracked leaf t.
+
+        Only leaves (tensors no op produced) get ``.grad``. An interior
+        node's gradient lives in a local table until its closure has
+        consumed it, then it is dropped, so a step never holds the
+        gradients of the whole graph at once. Closures never write into
+        the gradient they receive: ``add`` and ``reshape`` hand one array
+        to several parents.
+        """
         if self.data.size != 1:
             raise GraphError(f"backward() needs a scalar loss, got shape {self.shape}")
         topo = []
@@ -86,15 +98,16 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
-            if node._backward is not None:
-                for parent, pg in zip(node._parents, node._backward(g)):
-                    if pg is None or not parent.requires_grad:
-                        continue
-                    pid = id(parent)
-                    held = grads.get(pid)
-                    grads[pid] = pg if held is None else held + pg
+            if node._backward is None:
+                if node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
+                continue
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                pid = id(parent)
+                held = grads.get(pid)
+                grads[pid] = pg if held is None else held + pg
 
     # operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -115,9 +128,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -246,16 +256,38 @@ _GELU_A = 0.044715
 
 
 def gelu(x):
-    """Tanh-form gelu; smooth, so finite differences check cleanly."""
+    """Tanh-form gelu; smooth, so finite differences check cleanly.
+
+    Computed in place on arrays this op allocates, in the operation order
+    of 0.5 v (1 + tanh(c (v + a v² v))); only v and the tanh are kept.
+    """
     x = _lift(x)
     v = x.data
-    v2 = v * v
-    t = np.tanh(_GELU_C * (v + _GELU_A * v2 * v))
-    out = 0.5 * v * (1.0 + t)
+    t = v * v
+    t *= _GELU_A
+    t *= v
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 0.5 * v
+    out *= 1.0 + t
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * v2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du),)
+        # g * (0.5 (1 + t) + 0.5 v (1 - t²) c (1 + 3 a v²))
+        du = v * v
+        du *= 3.0 * _GELU_A
+        du += 1.0
+        du *= _GELU_C
+        sech2 = t * t
+        np.subtract(1.0, sech2, out=sech2)
+        slope = 0.5 * v
+        slope *= sech2
+        slope *= du
+        gx = np.add(1.0, t, out=sech2)
+        gx *= 0.5
+        gx += slope
+        gx *= g
+        return (gx,)
 
     return _make(out, (x,), backward)
 
@@ -399,13 +431,21 @@ def conv2d(x, w, stride=1, padding=0):
             f"conv2d output size not integral/positive for input {tuple(x.shape)}, "
             f"kernel {tuple(w.shape)}, stride={stride}, padding={padding}"
         )
-    xb = x.data.reshape(-1, c_in, h, wid)
-    n = xb.shape[0]
-    xp = np.pad(xb, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xb
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c_in * k * k, h_out * w_out)
+    lead, nl = x.shape[:-3], x.ndim - 3
+    tile = k == stride and padding == 0
+    if tile:
+        # the windows tile the input: the column matrix is a reshape/transpose
+        # of x, and each input pixel gets exactly one column entry back
+        split = x.data.reshape(*lead, c_in, h_out, k, w_out, k)
+        cols = split.transpose(*range(nl), nl, nl + 2, nl + 4, nl + 1, nl + 3).reshape(-1, c_in * k * k, h_out * w_out)
+    else:
+        xb = x.data.reshape(-1, c_in, h, wid)
+        xp = np.pad(xb, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xb
+        win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(-1, c_in * k * k, h_out * w_out)
+    n = cols.shape[0]
     wm = w.data.reshape(c_out, -1)
-    data = (wm @ cols).reshape(*x.shape[:-3], c_out, h_out, w_out)
+    data = (wm @ cols).reshape(*lead, c_out, h_out, w_out)
 
     def backward(g):
         gm = g.reshape(n, c_out, h_out * w_out)
@@ -413,6 +453,12 @@ def conv2d(x, w, stride=1, padding=0):
         if not x.requires_grad:
             return None, gw
         gcols = (wm.T @ gm).reshape(n, c_in, k, k, h_out, w_out)
+        if tile:
+            # gx keeps x's memory layout: downstream reductions depend on strides
+            gx = np.empty_like(x.data)
+            dst = gx.reshape(*lead, c_in, h_out, k, w_out, k)  # only splits axes, so a view of gx
+            np.copyto(dst, gcols.reshape(*lead, c_in, k, k, h_out, w_out).transpose(*range(nl), nl, nl + 3, nl + 1, nl + 4, nl + 2))
+            return gx, gw
         gxp = np.zeros_like(xp)
         for i in range(k):
             for j in range(k):
@@ -455,40 +501,45 @@ def attention(q, k, v):
     """softmax(q kᵀ) v over the last two axes of (..., T, d) operands, as one node.
 
     q, k and v share their leading axes; k and v share T, q and k share d.
-    The T×T weights P are built in place in one buffer and kept for the
-    backward, which needs no second T×T array: with the output O,
+    Forward and backward loop over images: every leading index but the
+    last (the heads axis), so one image's weights for all heads are built
+    and consumed while they sit in cache, from views of q, k and v. The
+    T×T weights P are built in place in their slot of one saved buffer.
+    The backward needs no second full T×T array: with the output O,
     rowsum(dP ⊙ P) = rowsum(dO ⊙ O), so dS = (dO vᵀ − rowsum(dO ⊙ O)) ⊙ P.
     """
     q, k, v = _lift(q), _lift(k), _lift(v)
     if q.ndim < 2 or k.ndim != q.ndim or k.shape[:-1] != v.shape[:-1] or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention needs q (...,T,d), k (...,S,d), v (...,S,e); got {tuple(q.shape)}, {tuple(k.shape)}, {tuple(v.shape)}")
-    p = q.data @ np.swapaxes(k.data, -1, -2)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = p @ v.data
+    images = list(np.ndindex(q.shape[:-3]))
+    kt, vt = np.swapaxes(k.data, -1, -2), np.swapaxes(v.data, -1, -2)
+    p = np.empty((*q.shape[:-1], k.shape[-2]))
+    out = np.empty((*q.shape[:-1], v.shape[-1]))
+    for i in images:
+        pi = np.matmul(q.data[i], kt[i], out=p[i])
+        pi -= pi.max(axis=-1, keepdims=True)
+        np.exp(pi, out=pi)
+        pi /= pi.sum(axis=-1, keepdims=True)
+        np.matmul(pi, v.data[i], out=out[i])
 
     def backward(g):
-        # one (image, head) slice at a time, so each T×T dS stays in cache
-        ps, gs = p.reshape(-1, *p.shape[-2:]), g.reshape(-1, *g.shape[-2:])
-        qs, ks, vs = (t.data.reshape(-1, *t.shape[-2:]) for t in (q, k, v))
-        gq = np.empty(qs.shape) if q.requires_grad else None
-        gk = np.empty(ks.shape) if k.requires_grad else None
-        gv = np.empty(vs.shape) if v.requires_grad else None
-        rows = (g * out).sum(axis=-1, keepdims=True).reshape(len(ps), -1, 1)
-        for i, pi in enumerate(ps):
+        gq = np.empty(q.shape) if q.requires_grad else None
+        gk = np.empty(k.shape) if k.requires_grad else None
+        gv = np.empty(v.shape) if v.requires_grad else None
+        rows = (g * out).sum(axis=-1, keepdims=True)
+        for i in images:
             if gv is not None:
-                np.matmul(pi.T, gs[i], out=gv[i])
+                np.matmul(np.swapaxes(p[i], -1, -2), g[i], out=gv[i])
             if gq is None and gk is None:
                 continue
-            ds = gs[i] @ vs[i].T
+            ds = g[i] @ vt[i]
             ds -= rows[i]
-            ds *= pi
+            ds *= p[i]
             if gq is not None:
-                np.matmul(ds, ks[i], out=gq[i])
+                np.matmul(ds, k.data[i], out=gq[i])
             if gk is not None:
-                np.matmul(ds.T, qs[i], out=gk[i])
-        return tuple(None if gt is None else gt.reshape(t.shape) for gt, t in ((gq, q), (gk, k), (gv, v)))
+                np.matmul(np.swapaxes(ds, -1, -2), q.data[i], out=gk[i])
+        return gq, gk, gv
 
     return _make(out, (q, k, v), backward)
 
@@ -514,22 +565,29 @@ def layer_norm(x, gain, bias, axis=-1, eps=1e-5):
     bshape = [1] * x.ndim
     bshape[ax] = d
     gb = gain.data.reshape(bshape)
-    mu = x.data.mean(axis=ax, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=ax, keepdims=True)
-    r = 1.0 / np.sqrt(var + eps)
-    xhat = xc * r
-    data = xhat * gb + bias.data.reshape(bshape)
+    # in place on arrays this op allocates, in the order of
+    # xhat = (x - mu) / sqrt(var + eps) and xhat * gain + bias
+    xhat = x.data - x.data.mean(axis=ax, keepdims=True)
+    data = xhat * xhat
+    r = 1.0 / np.sqrt(data.mean(axis=ax, keepdims=True) + eps)
+    xhat *= r
+    np.multiply(xhat, gb, out=data)
+    data += bias.data.reshape(bshape)
     red = tuple(i for i in range(x.ndim) if i != ax)
 
     def backward(g):
-        gx = None
+        # gx = r * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gain
+        gx = prod = None
         if x.requires_grad:
-            dxhat = g * gb
-            m1 = dxhat.mean(axis=ax, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=ax, keepdims=True)
-            gx = r * (dxhat - m1 - xhat * m2)
-        ggain = (g * xhat).sum(axis=red) if gain.requires_grad else None
+            gx = g * gb
+            m1 = gx.mean(axis=ax, keepdims=True)
+            prod = gx * xhat
+            m2 = prod.mean(axis=ax, keepdims=True)
+            gx -= m1
+            np.multiply(xhat, m2, out=prod)
+            gx -= prod
+            gx *= r
+        ggain = np.multiply(g, xhat, out=prod).sum(axis=red) if gain.requires_grad else None
         gbias = g.sum(axis=red) if bias.requires_grad else None
         return gx, ggain, gbias
 

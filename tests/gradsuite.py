@@ -86,6 +86,19 @@ def op_checks():
         w = _frozen_weigh(rng, (3, 4, 4))
         return lambda: w(T.conv2d(x, k, stride=2, padding=1)), [x, k]
 
+    @register("conv2d_tiles")
+    def _(rng):
+        # k == stride, no padding: the windows tile the input
+        x, k = _leaf(rng, 2, 8, 8), _leaf(rng, 3, 2, 2, 2)
+        w = _frozen_weigh(rng, (3, 4, 4))
+        return lambda: w(T.conv2d(x, k, stride=2)), [x, k]
+
+    @register("conv2d_1x1")
+    def _(rng):
+        x, k = _leaf(rng, 2, 5, 5), _leaf(rng, 3, 2, 1, 1)
+        w = _frozen_weigh(rng, (3, 5, 5))
+        return lambda: w(T.conv2d(x, k)), [x, k]
+
     @register("softmax")
     def _(rng):
         # softmax along the last axis as attention(x, I, I): q kᵀ = x and P v = P
@@ -193,6 +206,12 @@ def op_checks():
         x, k = _leaf(rng, 2, 2, 8, 8), _leaf(rng, 3, 2, 4, 4)
         w = _frozen_weigh(rng, (2, 3, 4, 4))
         return lambda: w(T.conv2d(x, k, stride=2, padding=1)), [x, k]
+
+    @register("conv2d_tiles_batched")
+    def _(rng):
+        x, k = _leaf(rng, 2, 2, 8, 8), _leaf(rng, 3, 2, 2, 2)
+        w = _frozen_weigh(rng, (2, 3, 4, 4))
+        return lambda: w(T.conv2d(x, k, stride=2)), [x, k]
 
     @register("avg_pool2d_batched")
     def _(rng):

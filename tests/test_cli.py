@@ -294,6 +294,32 @@ class TestSweep:
         assert main(["sweep", "--param", "alpha", "--values", "a,b", "--data", str(dataset_dir), "--out", str(tmp_path / "s"), "--steps", "1"]) == 2
 
 
+class TestOsErrors:
+    """An unusable path on the command line exits 2 with a one-line error, not a traceback."""
+
+    def assert_exit_2(self, argv, capsys, match):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and match in err[0]
+
+    def test_eval_checkpoint_is_a_directory(self, dataset_dir, tmp_path, capsys):
+        (tmp_path / "ckpt").mkdir()
+        self.assert_exit_2(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(dataset_dir)], capsys, "ckpt")
+
+    def test_train_out_is_a_file(self, dataset_dir, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        self.assert_exit_2(train_args(dataset_dir, tmp_path / "taken", steps=1), capsys, "taken")
+
+    def test_gen_out_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        self.assert_exit_2(gen_args(tmp_path / "taken", n=1), capsys, "taken")
+
+    def test_train_data_holds_a_directory_record(self, dataset_dir, tmp_path, capsys):
+        (dataset_dir / "x.bin").mkdir()
+        self.assert_exit_2(train_args(dataset_dir, tmp_path / "run", steps=1), capsys, "x.bin")
+
+
 class TestUsage:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

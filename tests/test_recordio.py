@@ -64,3 +64,19 @@ def test_oversized_dims_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(DataError, match="truncated"):
         read_archive(path)
+
+
+def test_failed_write_keeps_old_file(tmp_path):
+    path = tmp_path / "arc.bin"
+    write_archive(path, [("x", np.zeros(2))])
+    before = path.read_bytes()
+    # the second record's name cannot be encoded, so the write fails midway
+    with pytest.raises(UnicodeEncodeError):
+        write_archive(path, [("y", np.ones(3)), ("\ud800", np.ones(1))])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["arc.bin"]
+
+
+def test_unreadable_path_rejected(tmp_path):
+    with pytest.raises(DataError, match="cannot read"):
+        read_archive(tmp_path)

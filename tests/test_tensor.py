@@ -48,6 +48,18 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="not integral"):
             T.conv2d(Tensor(np.zeros((1, 7, 7))), Tensor(np.zeros((1, 1, 2, 2))), stride=2)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_tile_gradient_keeps_input_layout(self, k):
+        """k == stride, no padding: gx has the stride order of a channels-last view input."""
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((2, 6, 6, 3)).transpose(0, 3, 1, 2)
+        w = Tensor(rng.standard_normal((4, 3, k, k)))
+        g = rng.standard_normal((2, 4, 6 // k, 6 // k))
+        gx, _ = T.conv2d(Tensor(x, requires_grad=True), w, stride=k)._backward(g)
+        assert np.argsort(gx.strides).tolist() == np.argsort(x.strides).tolist()
+        ref, _ = T.conv2d(Tensor(np.ascontiguousarray(x), requires_grad=True), w, stride=k)._backward(g)
+        np.testing.assert_array_equal(gx, ref)
+
 
 def _softmax_rows(x):
     """softmax along the last axis as attention(x, I, I): q kᵀ = x and P v = P."""
@@ -187,11 +199,12 @@ class TestBatchAxis:
         "op",
         [
             lambda t, w: T.conv2d(t, w, stride=2, padding=1),
+            lambda t, w: T.conv2d(t, Tensor(w.data[:, :, :2, :2]), stride=2),
             lambda t, w: T.avg_pool2d(t, 2),
             lambda t, w: T.bilinear_upsample(t, (11, 5)),
             lambda t, w: T.log_softmax(t, axis=-3),
         ],
-        ids=["conv2d", "avg_pool2d", "bilinear_upsample", "log_softmax"],
+        ids=["conv2d", "conv2d_tiles", "avg_pool2d", "bilinear_upsample", "log_softmax"],
     )
     def test_stencils_per_image(self, op):
         rng = np.random.default_rng(13)
@@ -216,6 +229,18 @@ class TestBackward:
         x = Tensor(np.random.default_rng(6).standard_normal(5), requires_grad=True)
         (x * x).sum().backward()
         np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-12)
+
+    def test_only_leaves_keep_gradients(self):
+        rng = np.random.default_rng(18)
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        prod = a * b
+        total = prod + a
+        loss = total.sum()
+        loss.backward()
+        assert prod.grad is None and total.grad is None and loss.grad is None
+        np.testing.assert_array_equal(a.grad, b.data + 1.0)
+        np.testing.assert_array_equal(b.grad, a.data)
 
     def test_repeated_calls_accumulate(self):
         x = Tensor(np.ones(3), requires_grad=True)
