@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .losses import PixelCEMap, cosine_distance, kl_map
-from .recordio import write_archive
 from .tensor import ShapeError, Tensor
 
 
@@ -117,21 +116,3 @@ def bsd_loss(region_pair, pixel_pair, alpha: float):
     lp_c, lp_v = pixel_pair
     return lr_c + alpha * lp_c, lr_v + alpha * lp_v
 
-
-def dump_selection_state(path, similarity, region_mask: DirectionMask, map_cnn: PixelCEMap, map_vit: PixelCEMap, pixel_mask: DirectionMask) -> None:
-    """Serialize one batch's selection state for offline inspection."""
-    sim = similarity.data if isinstance(similarity, Tensor) else np.asarray(similarity)
-    write_archive(
-        path,
-        [
-            ("similarity", sim),
-            ("region_mask/values", region_mask.values),
-            ("region_mask/count", np.array(region_mask.count, dtype=float, ndmin=1)),
-            ("pixel_ce/cnn", map_cnn.values),
-            ("pixel_ce/vit", map_vit.values),
-            ("pixel_ce/valid", map_cnn.valid.astype(np.float64)),
-            ("pixel_mask/values", pixel_mask.values),
-            ("pixel_mask/valid", pixel_mask.valid.astype(np.float64)),
-            ("pixel_mask/count", np.array(pixel_mask.count, dtype=float, ndmin=1)),
-        ],
-    )

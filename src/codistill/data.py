@@ -115,10 +115,19 @@ def load_record(path):
 
 
 def save_dataset(dirpath, samples) -> None:
+    """Write samples as 00000.bin, 00001.bin, ... into dirpath.
+
+    A .bin file already there that this write would not replace raises
+    DataError before anything is written, so two datasets never mix.
+    """
     dirpath = Path(dirpath)
+    names = [f"{i:05d}.bin" for i in range(len(samples))]
+    stray = sorted({p.name for p in dirpath.glob("*.bin")} - set(names))
+    if stray:
+        raise DataError(f"{dirpath} already holds {stray[0]}, which writing {len(names)} records would not replace; use an empty directory")
     dirpath.mkdir(parents=True, exist_ok=True)
-    for i, (image, labels) in enumerate(samples):
-        save_record(dirpath / f"{i:05d}.bin", image, labels)
+    for name, (image, labels) in zip(names, samples):
+        save_record(dirpath / name, image, labels)
 
 
 def load_dataset(dirpath):

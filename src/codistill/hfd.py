@@ -18,11 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 from .losses import cosine_distance
-from .students import ArchConfig, StudentParams, detach_params, mlp_block, vit_second_stage
+from .students import ArchConfig, StudentParams, detach_params, init_params, mlp_block, vit_second_stage
 from .tensor import Tensor, avg_pool2d, conv2d
 
 
@@ -44,17 +42,6 @@ class FeatureAdapter:
 
     def named_tensors(self, prefix):
         return [(f"{prefix}/weight", self.weight), (f"{prefix}/bias", self.bias)]
-
-
-def init_adapter(c_in: int, c_out: int, pool: int, rng) -> FeatureAdapter:
-    if pool < 1:
-        raise ConfigError(f"adapter pool factor must be >= 1, got {pool}")
-    s = 1.0 / np.sqrt(c_in)
-    return FeatureAdapter(
-        weight=Tensor(rng.uniform(-s, s, (c_out, c_in, 1, 1)), requires_grad=True),
-        bias=Tensor(np.zeros(c_out), requires_grad=True),
-        pool=pool,
-    )
 
 
 def apply_adapter(f: Tensor, adapter: FeatureAdapter) -> Tensor:
@@ -112,9 +99,24 @@ def adapter_geometry(cfg: ArchConfig) -> dict:
     }
 
 
+def adapter_param_specs(cfg: ArchConfig) -> dict:
+    """Parameter table of the four adapters under their checkpoint record names."""
+    specs = {}
+    for name, (c_in, c_out, _) in adapter_geometry(cfg).items():
+        specs[f"adapter_{name}/weight"] = ((c_out, c_in, 1, 1), c_in)
+        specs[f"adapter_{name}/bias"] = ((c_out,), "zeros")
+    return specs
+
+
 def init_adapters(cfg: ArchConfig, rng) -> AdapterSet:
     """The four adapters for a config, with geometry derived from it."""
-    return AdapterSet(**{name: init_adapter(*geometry, rng) for name, geometry in adapter_geometry(cfg).items()})
+    params = init_params(adapter_param_specs(cfg), rng)
+    return AdapterSet(
+        **{
+            name: FeatureAdapter(params[f"adapter_{name}/weight"], params[f"adapter_{name}/bias"], pool)
+            for name, (_, _, pool) in adapter_geometry(cfg).items()
+        }
+    )
 
 
 def hfd_loss_cnn(f1_c: Tensor, adapter_c1: FeatureAdapter, vit_params: StudentParams, cfg: ArchConfig, f2_v: Tensor) -> Tensor:

@@ -106,7 +106,7 @@ class StudentOutputs:
 # config alone, so a checkpoint can be checked against them before any
 # array is allocated.
 
-def _init_params(specs: dict, rng) -> StudentParams:
+def init_params(specs: dict, rng) -> StudentParams:
     """Tracked tensors for a parameter table; uniform entries draw from rng in table order."""
     params = {}
     for name, (shape, init) in specs.items():
@@ -166,11 +166,11 @@ def vit_param_specs(cfg: ArchConfig) -> dict:
 
 
 def init_cnn_params(cfg: ArchConfig, rng) -> StudentParams:
-    return _init_params(cnn_param_specs(cfg), rng)
+    return init_params(cnn_param_specs(cfg), rng)
 
 
 def init_vit_params(cfg: ArchConfig, rng) -> StudentParams:
-    return _init_params(vit_param_specs(cfg), rng)
+    return init_params(vit_param_specs(cfg), rng)
 
 
 def detach_params(params: StudentParams) -> StudentParams:
@@ -225,9 +225,9 @@ def attention_mix(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads:
 def attn_block(tokens: Tensor, params: StudentParams, stage: int, cfg: ArchConfig) -> Tensor:
     """Pre-norm attention block: mix + residual, then gelu FFN + residual."""
     p = f"s{stage}_"
-    normed = layer_norm(tokens, params[p + "ln1_g"], params[p + "ln1_b"], axis=-1)
+    normed = layer_norm(tokens, params[p + "ln1_g"], params[p + "ln1_b"])
     tokens = tokens + attention_mix(normed, params[p + "wq"], params[p + "wk"], params[p + "wv"], cfg.num_heads)
-    normed = layer_norm(tokens, params[p + "ln2_g"], params[p + "ln2_b"], axis=-1)
+    normed = layer_norm(tokens, params[p + "ln2_g"], params[p + "ln2_b"])
     hidden = gelu(matmul(normed, params[p + "ffn_w1"]) + params[p + "ffn_b1"])
     return tokens + (matmul(hidden, params[p + "ffn_w2"]) + params[p + "ffn_b2"])
 

@@ -18,6 +18,8 @@ would be discarded. Ops take optional leading batch axes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -135,11 +137,11 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return tsum(self, axis=axis)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis=None):
+        return tmean(self, axis=axis)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -149,7 +151,7 @@ class Tensor:
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        return transpose(self, axes or None)
+        return transpose(self, axes)
 
 
 def _lift(x) -> Tensor:
@@ -302,53 +304,40 @@ def _norm_axes(axis, ndim):
     return tuple(a % ndim for a in axis)
 
 
-def tsum(x, axis=None, keepdims=False):
+def _kept(x, axes):
+    """x's shape with the reduced axes kept at length 1."""
+    return [1 if a in axes else n for a, n in enumerate(x.shape)]
+
+
+def tsum(x, axis=None):
     x = _lift(x)
     axes = _norm_axes(axis, x.ndim)
-    data = x.data.sum(axis=axes, keepdims=keepdims)
 
     def backward(g):
-        if not keepdims:
-            kd = list(x.shape)
-            for a in axes:
-                kd[a] = 1
-            g = g.reshape(kd)
-        return (np.broadcast_to(g, x.shape),)
+        return (np.broadcast_to(g.reshape(_kept(x, axes)), x.shape),)
 
-    return _make(data, (x,), backward)
+    return _make(x.data.sum(axis=axes), (x,), backward)
 
 
-def tmean(x, axis=None, keepdims=False):
+def tmean(x, axis=None):
     x = _lift(x)
     axes = _norm_axes(axis, x.ndim)
-    count = 1
-    for a in axes:
-        count *= x.shape[a]
-    data = x.data.mean(axis=axes, keepdims=keepdims)
+    count = math.prod(x.shape[a] for a in axes)
 
     def backward(g):
-        if not keepdims:
-            kd = list(x.shape)
-            for a in axes:
-                kd[a] = 1
-            g = g.reshape(kd)
-        return (np.broadcast_to(g / count, x.shape),)
+        return (np.broadcast_to(g.reshape(_kept(x, axes)) / count, x.shape),)
 
-    return _make(data, (x,), backward)
+    return _make(x.data.mean(axis=axes), (x,), backward)
 
 
-def l2_norm(x, axis, keepdims=False):
+def l2_norm(x, axis):
     """Euclidean norm along one axis; zero vectors get zero gradient."""
     x = _lift(x)
     ax = axis % x.ndim
-    n = np.sqrt((x.data * x.data).sum(axis=ax, keepdims=keepdims))
+    n = np.sqrt((x.data * x.data).sum(axis=ax))
 
     def backward(g):
-        if keepdims:
-            gg, nn = g, n
-        else:
-            gg, nn = np.expand_dims(g, ax), np.expand_dims(n, ax)
-        return (gg * x.data / np.maximum(nn, 1e-12),)
+        return (np.expand_dims(g, ax) * x.data / np.maximum(np.expand_dims(n, ax), 1e-12),)
 
     return _make(n, (x,), backward)
 
@@ -364,10 +353,8 @@ def reshape(x, shape):
     return _make(x.data.reshape(shape), (x,), backward)
 
 
-def transpose(x, axes=None):
+def transpose(x, axes):
     x = _lift(x)
-    if axes is None:
-        axes = tuple(reversed(range(x.ndim)))
     inv = tuple(np.argsort(axes))
 
     def backward(g):
@@ -383,27 +370,18 @@ def transpose(x, axes=None):
 # computed exactly as it would be on its own.
 
 def matmul(a, b):
-    """(..., m, k) @ (k, n) or (..., m, k) @ (..., k, n), leading axes broadcast."""
+    """(..., m, k) @ (k, n): one matrix applied to every leading row."""
     a, b = _lift(a), _lift(b)
-    bad = ShapeError(f"matmul needs (...,m,k)@(...,k,n); got {tuple(a.shape)} and {tuple(b.shape)}")
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise bad
-    try:
-        data = a.data @ b.data
-    except ValueError:  # leading axes that do not broadcast
-        raise bad from None
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul needs (...,m,k)@(k,n); got {tuple(a.shape)} and {tuple(b.shape)}")
 
     def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
-        gb = None
-        if b.requires_grad and b.ndim == 2:
-            # one GEMM over every leading row instead of a stack of them
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        elif b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = g @ b.data.T if a.requires_grad else None
+        # one GEMM over every leading row instead of a stack of them
+        gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if b.requires_grad else None
         return ga, gb
 
-    return _make(data, (a, b), backward)
+    return _make(a.data @ b.data, (a, b), backward)
 
 
 def conv2d(x, w, stride=1, padding=0):
@@ -469,29 +447,23 @@ def conv2d(x, w, stride=1, padding=0):
     return _make(data, (x, w), backward)
 
 
-def avg_pool2d(x, k, stride=None):
-    """Mean over k×k windows of the trailing H×W axes; the window grid must tile them exactly."""
+def avg_pool2d(x, k):
+    """Mean over the k×k tiles of the trailing H×W axes, which they must tile exactly."""
     x = _lift(x)
-    stride = k if stride is None else stride
     if x.ndim < 3:
         raise ShapeError(f"avg_pool2d input must be C×H×W with optional leading axes, got {tuple(x.shape)}")
-    if k < 1 or stride < 1:
-        raise ShapeError(f"avg_pool2d needs k>=1 and stride>=1, got k={k}, stride={stride}")
+    if k < 1:
+        raise ShapeError(f"avg_pool2d needs k>=1, got k={k}")
     h, wid = x.shape[-2:]
-    qh, rh = divmod(h - k, stride)
-    qw, rw = divmod(wid - k, stride)
-    h_out, w_out = qh + 1, qw + 1
-    if h < k or wid < k or rh or rw:
-        raise ShapeError(f"avg_pool2d windows (k={k}, stride={stride}) do not tile input {tuple(x.shape)}")
-    win = sliding_window_view(x.data, (k, k), axis=(-2, -1))[..., ::stride, ::stride, :, :]
+    if h < k or wid < k or h % k or wid % k:
+        raise ShapeError(f"avg_pool2d windows (k={k}) do not tile input {tuple(x.shape)}")
+    win = sliding_window_view(x.data, (k, k), axis=(-2, -1))[..., ::k, ::k, :, :]
     data = win.mean(axis=(-2, -1))
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        gk = g / (k * k)
-        for i in range(k):
-            for j in range(k):
-                gx[..., i : i + stride * h_out : stride, j : j + stride * w_out : stride] += gk
+        tiles = gx.reshape(*x.shape[:-2], h // k, k, wid // k, k)  # only splits axes, so a view of gx
+        tiles += (g / (k * k))[..., :, None, :, None]
         return (gx,)
 
     return _make(data, (x,), backward)
@@ -555,34 +527,33 @@ def log_softmax(x, axis):
     return _make(ls, (x,), backward)
 
 
-def layer_norm(x, gain, bias, axis=-1, eps=1e-5):
-    """Normalize along `axis` (population variance), then scale and shift."""
+_LN_EPS = 1e-5
+
+
+def layer_norm(x, gain, bias):
+    """Normalize along the last axis (population variance), then scale and shift."""
     x, gain, bias = _lift(x), _lift(gain), _lift(bias)
-    ax = axis % x.ndim
-    d = x.shape[ax]
+    d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({d},), got {tuple(gain.shape)} and {tuple(bias.shape)}")
-    bshape = [1] * x.ndim
-    bshape[ax] = d
-    gb = gain.data.reshape(bshape)
     # in place on arrays this op allocates, in the order of
     # xhat = (x - mu) / sqrt(var + eps) and xhat * gain + bias
-    xhat = x.data - x.data.mean(axis=ax, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     data = xhat * xhat
-    r = 1.0 / np.sqrt(data.mean(axis=ax, keepdims=True) + eps)
+    r = 1.0 / np.sqrt(data.mean(axis=-1, keepdims=True) + _LN_EPS)
     xhat *= r
-    np.multiply(xhat, gb, out=data)
-    data += bias.data.reshape(bshape)
-    red = tuple(i for i in range(x.ndim) if i != ax)
+    np.multiply(xhat, gain.data, out=data)
+    data += bias.data
+    red = tuple(range(x.ndim - 1))
 
     def backward(g):
         # gx = r * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gain
         gx = prod = None
         if x.requires_grad:
-            gx = g * gb
-            m1 = gx.mean(axis=ax, keepdims=True)
+            gx = g * gain.data
+            m1 = gx.mean(axis=-1, keepdims=True)
             prod = gx * xhat
-            m2 = prod.mean(axis=ax, keepdims=True)
+            m2 = prod.mean(axis=-1, keepdims=True)
             gx -= m1
             np.multiply(xhat, m2, out=prod)
             gx -= prod

@@ -23,7 +23,7 @@ import numpy as np
 from .bsd import bsd_loss, build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
 from .data import ConfusionMatrix, miou_from_confusion, predict_labels, update_confusion
 from .errors import ConfigError, DataError, TrainingError
-from .hfd import AdapterSet, adapter_geometry, apply_adapter, hfd_loss_cnn, hfd_loss_vit, init_adapters
+from .hfd import AdapterSet, adapter_param_specs, apply_adapter, hfd_loss_cnn, hfd_loss_vit, init_adapters
 from .losses import pixel_ce
 from .recordio import MAX_DIM, read_archive, write_archive
 from .seeding import substream
@@ -145,10 +145,6 @@ class SgdMomentum:
                 p.data, p.grad, self.velocity[name], self.cfg.lr, self.cfg.momentum, self.cfg.weight_decay
             )
 
-    def zero_grad(self):
-        zero_grads(p for _, p in self.params)
-
-
 class AdamW:
     def __init__(self, named_params, cfg: AdamWConfig):
         self.params = list(named_params)
@@ -166,9 +162,6 @@ class AdamW:
             p.data, self.m1[name], self.m2[name] = adamw_update(
                 p.data, p.grad, self.m1[name], self.m2[name], self.t, c.lr, c.beta1, c.beta2, c.eps, c.weight_decay
             )
-
-    def zero_grad(self):
-        zero_grads(p for _, p in self.params)
 
 
 # objective assembly ----------------------------------------------------
@@ -253,8 +246,8 @@ def train_step(batch, state: TrainState, tcfg: TrainConfig) -> dict:
     forwarded as one stacked batch. A non-finite loss term or gradient
     raises TrainingError before either optimizer moves a weight."""
     step = state.step + 1
-    state.opt_c.zero_grad()
-    state.opt_v.zero_grad()
+    records = _param_records(state.params_c, state.params_v, state.adapters)
+    zero_grads(p for _, p in records)
     x = Tensor(np.stack([image for image, _ in batch]))
     labels = np.stack([lab for _, lab in batch])
     out_c = cnn_forward(x, state.params_c, state.acfg)
@@ -265,7 +258,7 @@ def train_step(batch, state: TrainState, tcfg: TrainConfig) -> dict:
             raise TrainingError(f"non-finite {name} ({value}) at step {step}")
     loss_c.backward()
     loss_v.backward()
-    for name, p in _param_records(state.params_c, state.params_v, state.adapters):
+    for name, p in records:
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise TrainingError(f"non-finite gradient for {name} at step {step}")
     state.opt_c.step()
@@ -332,12 +325,8 @@ def save_checkpoint(path, acfg: ArchConfig, params_c, params_v, adapters: Adapte
 
 def _record_shapes(acfg: ArchConfig) -> dict:
     """Record name -> shape of every trainable tensor, from the config alone."""
-    shapes = {f"cnn/{name}": shape for name, (shape, _) in cnn_param_specs(acfg).items()}
-    shapes.update((f"vit/{name}", shape) for name, (shape, _) in vit_param_specs(acfg).items())
-    for name, (c_in, c_out, _) in adapter_geometry(acfg).items():
-        shapes[f"adapter_{name}/weight"] = (c_out, c_in, 1, 1)
-        shapes[f"adapter_{name}/bias"] = (c_out,)
-    return shapes
+    tables = (("cnn/", cnn_param_specs(acfg)), ("vit/", vit_param_specs(acfg)), ("", adapter_param_specs(acfg)))
+    return {prefix + name: shape for prefix, specs in tables for name, (shape, _) in specs.items()}
 
 
 def load_checkpoint(path):

@@ -10,14 +10,12 @@ from codistill.bsd import (
     bsd_loss,
     build_pixel_mask,
     build_region_mask,
-    dump_selection_state,
     pixel_loss,
     region_ce,
     region_loss,
 )
 from codistill.errors import ConfigError
 from codistill.losses import IGNORE_LABEL, PixelCEMap, cosine_distance, pixel_ce
-from codistill.recordio import read_archive
 from codistill.tensor import ShapeError, Tensor, log_softmax, zero_grads
 
 from oracles import bf_cosine_map, bf_direction_mask, bf_masked_means, bf_pixel_losses, bf_region_ce
@@ -342,22 +340,3 @@ class TestSelectiveProperties:
                 if t.grad is not None:
                     assert np.all(np.isfinite(t.grad))
 
-
-class TestSelectionDump:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        labels = rng.integers(0, 3, (8, 8))
-        mc = ce_map_of(rng.standard_normal((3, 8, 8)), labels)
-        mv = ce_map_of(rng.standard_normal((3, 8, 8)), labels)
-        grid = (2, 2)
-        rmask = build_region_mask(region_ce(mc, grid), region_ce(mv, grid))
-        pmask = build_pixel_mask(mc, mv)
-        sim = cosine_distance(Tensor(rng.standard_normal((5, 2, 2))), Tensor(rng.standard_normal((5, 2, 2))))
-        path = tmp_path / "selection.bin"
-        dump_selection_state(path, sim, rmask, mc, mv, pmask)
-        back = read_archive(path)
-        np.testing.assert_array_equal(back["similarity"], sim.data)
-        np.testing.assert_array_equal(back["region_mask/values"], rmask.values)
-        np.testing.assert_array_equal(back["pixel_ce/cnn"], mc.values)
-        np.testing.assert_array_equal(back["pixel_mask/values"], pmask.values)
-        assert back["pixel_mask/count"][0] == pmask.count

@@ -57,6 +57,23 @@ class TestGen:
         for fa, fb in zip(sorted(a.glob("*.bin")), sorted(b.glob("*.bin"))):
             assert fa.read_bytes() == fb.read_bytes()
 
+    def test_fewer_records_into_filled_directory_rejected(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(gen_args(out, n=5, seed=1)) == 0
+        before = [p.read_bytes() for p in sorted(out.glob("*.bin"))]
+        capsys.readouterr()
+        assert main(gen_args(out, n=2, seed=2)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "00002.bin" in err
+        assert [p.read_bytes() for p in sorted(out.glob("*.bin"))] == before
+
+    def test_rerun_into_same_directory(self, tmp_path):
+        out = tmp_path / "d"
+        assert main(gen_args(out, n=3)) == 0
+        assert main(gen_args(out, n=3)) == 0
+        assert main(gen_args(out, n=4)) == 0
+        assert len(load_dataset(out)) == 4
+
     def test_class_coverage(self, tmp_path):
         out = tmp_path / "d"
         main(gen_args(out, n=40, seed=0) + ["--min-shapes", "2", "--max-shapes", "3"])

@@ -9,7 +9,6 @@ from codistill.hfd import (
     apply_adapter,
     hfd_loss_cnn,
     hfd_loss_vit,
-    init_adapter,
     init_adapters,
 )
 from codistill.losses import cosine_distance
@@ -65,14 +64,18 @@ class TestApplyAdapter:
     def test_bad_geometry_rejected(self):
         f = Tensor(np.zeros((3, 6, 6)))
         with pytest.raises(ConfigError, match="channels"):
-            apply_adapter(f, init_adapter(4, 2, 1, np.random.default_rng(2)))
+            apply_adapter(f, FeatureAdapter(weight=Tensor(np.ones((2, 4, 1, 1))), bias=Tensor(np.zeros(2)), pool=1))
         with pytest.raises(ConfigError, match="pool"):
-            apply_adapter(f, init_adapter(3, 2, 4, np.random.default_rng(2)))
+            apply_adapter(f, FeatureAdapter(weight=Tensor(np.ones((2, 3, 1, 1))), bias=Tensor(np.zeros(2)), pool=4))
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
         f = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
-        adapter = init_adapter(3, 2, 2, rng)
+        adapter = FeatureAdapter(
+            weight=Tensor(rng.uniform(-0.5, 0.5, (2, 3, 1, 1)), requires_grad=True),
+            bias=Tensor(np.zeros(2), requires_grad=True),
+            pool=2,
+        )
         w = rng.standard_normal((2, 2, 2))
         check_grads(lambda: (apply_adapter(f, adapter) * w).sum(), [f, adapter.weight, adapter.bias], label="adapter")
 

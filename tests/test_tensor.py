@@ -126,7 +126,7 @@ class TestAvgPool:
     def test_global_average(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((2, 4, 4)))
-        out = T.avg_pool2d(x, 4, stride=4)
+        out = T.avg_pool2d(x, 4)
         np.testing.assert_allclose(out.data[:, 0, 0], x.data.mean(axis=(1, 2)), rtol=1e-12)
 
     def test_indivisible_rejected(self):
