@@ -145,23 +145,21 @@ def cmd_gen(args) -> int:
         noise=args.noise,
         seed=args.seed,
     )
-    save_dataset(_out_dir(args.out), generate_dataset(spec, args.n))
-    print(f"wrote {args.n} records to {args.out}")
+    save_dataset(args.out, generate_dataset(spec, args.n))
+    print(f"wrote {args.n} samples to {args.out}")
     return 0
 
 
 def _check_image_hw(dataset, where, hw) -> None:
-    sizes = {image.shape[1:] for image, _ in dataset}
-    if sizes != {hw}:
-        found = ", ".join(f"{h}x{w}" for h, w in sorted(sizes))
-        raise DataError(f"{where}: images are {found}, expected {hw[0]}x{hw[1]}")
+    h, w = dataset[0][0].shape[1:]
+    if (h, w) != hw:
+        raise DataError(f"{where}: images are {h}x{w}, expected {hw[0]}x{hw[1]}")
 
 
 def _prepare(args) -> tuple:
     """((train set, eval set or None), ArchConfig, TrainConfig) for a training command."""
     train_set = load_dataset(args.data)
     hw = train_set[0][0].shape[1:]
-    _check_image_hw(train_set, args.data, hw)
     eval_set = load_dataset(args.eval_data) if args.eval_data else None
     if eval_set is not None:
         _check_image_hw(eval_set, args.eval_data, hw)
@@ -227,11 +225,11 @@ def cmd_sweep(args) -> int:
     if not points:
         raise ConfigError("sweep needs at least one value")
     vanilla = replace(base, beta=0.0, gamma=0.0)
+    cells = [(value, replace(base, **{args.param: value})) for value in points]  # every config is checked before any run
     result_v = _run_one_training(args, datasets, acfg, vanilla, out_dir / "vanilla")
     base_sum = result_v.miou_c + result_v.miou_v
     lines = [f"{args.param}\tmiou_c\tmiou_v\tdelta"]
-    for value in points:
-        tcfg = replace(base, **{args.param: value})
+    for value, tcfg in cells:
         cell = out_dir / f"{args.param}_{value:g}"
         result = _run_one_training(args, datasets, acfg, tcfg, cell)
         lines.append(f"{value:g}\t{result.miou_c:.9g}\t{result.miou_v:.9g}\t{result.miou_c + result.miou_v - base_sum:.9g}")
@@ -257,15 +255,15 @@ def _add_train_flags(p):
             p.add_argument(f"--{key.removesuffix('_on').replace('_', '-')}", dest=key, action=argparse.BooleanOptionalAction)
         else:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_KEYS[key])
-    p.add_argument("--data", required=True, help="training dataset directory")
-    p.add_argument("--eval-data", dest="eval_data", help="held-out dataset directory")
+    p.add_argument("--data", required=True, help="training dataset file")
+    p.add_argument("--eval-data", dest="eval_data", help="held-out dataset file")
 
 
 def make_parser() -> _Parser:
     parser = _Parser(prog="codistill", description="Collaborative two-student segmentation distillation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset directory")
+    p = sub.add_parser("gen", help="generate a synthetic dataset file")
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--n", type=int, required=True)

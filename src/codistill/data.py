@@ -1,14 +1,14 @@
-"""Synthetic segmentation data, its on-disk record format, and mIoU.
+"""Synthetic segmentation data, its on-disk form, and mIoU.
 
 Images compose axis-aligned rectangles and disks of class-correlated
 colors over a background, plus additive Gaussian noise; labels are the
-exact shape masks. One sample per file: a (C, H, W) u32 header, raw
-little-endian float64 image values, then uint8 labels.
+exact shape masks. A dataset on disk is one recordio archive of two
+records, `images` (N×3×H×W) and `labels` (N×H×W, integers 0-255), both
+float64 like every archive record.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, MetricError
 from .losses import IGNORE_LABEL
+from .recordio import read_archive, write_archive
 from .seeding import substream
 from .tensor import Tensor
 
@@ -84,57 +85,33 @@ def generate_dataset(spec: SynthSpec, n: int):
     return samples
 
 
-# on-disk records ------------------------------------------------------
+# on-disk datasets -----------------------------------------------------
 
-def save_record(path, image: np.ndarray, labels: np.ndarray) -> None:
-    image = np.ascontiguousarray(image, dtype="<f8")
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    c, h, w = image.shape
-    if labels.shape != (h, w):
-        raise DataError(f"labels {labels.shape} do not match image {image.shape}")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<III", c, h, w))
-        fh.write(image.tobytes())
-        fh.write(labels.tobytes())
+def save_dataset(path, samples) -> None:
+    """Write samples as one archive of `images` (N×3×H×W) and `labels` (N×H×W).
 
-
-def load_record(path):
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read record {path}: {exc.strerror or exc}") from exc
-    if len(blob) < 12:
-        raise DataError(f"{path}: unexpected record size {len(blob)}")
-    c, h, w = struct.unpack_from("<III", blob, 0)
-    n = c * h * w
-    if len(blob) != 12 + 8 * n + h * w:
-        raise DataError(f"{path}: unexpected record size {len(blob)}")
-    image = np.frombuffer(blob, dtype="<f8", count=n, offset=12).reshape(c, h, w).astype(np.float64)
-    labels = np.frombuffer(blob, dtype=np.uint8, count=h * w, offset=12 + 8 * n).reshape(h, w).copy()
-    return image, labels
-
-
-def save_dataset(dirpath, samples) -> None:
-    """Write samples as 00000.bin, 00001.bin, ... into dirpath.
-
-    A .bin file already there that this write would not replace raises
-    DataError before anything is written, so two datasets never mix.
+    Parent directories are created; the write is atomic, so a failure
+    leaves any earlier file at `path` untouched.
     """
-    dirpath = Path(dirpath)
-    names = [f"{i:05d}.bin" for i in range(len(samples))]
-    stray = sorted({p.name for p in dirpath.glob("*.bin")} - set(names))
-    if stray:
-        raise DataError(f"{dirpath} already holds {stray[0]}, which writing {len(names)} records would not replace; use an empty directory")
-    dirpath.mkdir(parents=True, exist_ok=True)
-    for name, (image, labels) in zip(names, samples):
-        save_record(dirpath / name, image, labels)
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_archive(path, [("images", np.stack([x for x, _ in samples])), ("labels", np.stack([y for _, y in samples]))])
+    except OSError as exc:
+        raise DataError(f"cannot write dataset {path}: {exc.strerror or exc}") from exc
 
 
-def load_dataset(dirpath):
-    paths = sorted(Path(dirpath).glob("*.bin"))
-    if not paths:
-        raise DataError(f"no .bin records found in {dirpath}")
-    return [load_record(p) for p in paths]
+def load_dataset(path):
+    """The (3×H×W float64 image, H×W uint8 labels) samples of a dataset archive."""
+    records = read_archive(path)
+    if records.keys() != {"images", "labels"}:
+        raise DataError(f"{path}: expected records ['images', 'labels'], got {list(records)}")
+    images, labels = records["images"], records["labels"]
+    if images.ndim != 4 or len(images) < 1 or images.shape[1] != 3 or labels.shape != (images.shape[0], *images.shape[2:]):
+        raise DataError(f"{path}: images {images.shape} and labels {labels.shape} are not N×3×H×W and N×H×W with N >= 1")
+    if not np.all((labels >= 0) & (labels <= 255) & (labels == np.floor(labels))):
+        raise DataError(f"{path}: labels must be integers in [0, 255]")
+    return list(zip(images, labels.astype(np.uint8)))
 
 
 # evaluation -----------------------------------------------------------

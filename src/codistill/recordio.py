@@ -100,6 +100,8 @@ def read_archive(path) -> dict:
             name = str(take(nlen, f"record {index} name"), "utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: record {index} name is not utf-8") from exc
+        if name in out:
+            raise DataError(f"{path}: duplicate record {name}")
         (ndim,) = u32s(1, f"{name} ndim")
         shape = u32s(ndim, f"{name} dims")
         values = take(8 * math.prod(shape), f"{name} values")

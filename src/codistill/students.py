@@ -63,6 +63,8 @@ class ArchConfig:
             raise ConfigError("cnn_channels and vit_dims must each have 3 entries")
         if min(self.cnn_channels) < 1 or min(self.vit_dims) < 1:
             raise ConfigError("channel counts must be positive")
+        if h < 1 or w < 1:
+            raise ConfigError(f"input {h}x{w} must be non-empty")
         if h % 4 or w % 4:
             raise ConfigError(f"input {h}x{w} must be divisible by 4 (CNN stride plan)")
         if p != 2:

@@ -74,6 +74,11 @@ class TrainConfig:
     checkpoint_every: int = 100
 
     def __post_init__(self):
+        for prefix, cfg in (("", self), ("sgd_", self.sgd), ("adamw_", self.adamw)):
+            for f in fields(cfg):
+                value = getattr(cfg, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{prefix}{f.name} must be finite, got {value}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from codistill import recordio
 from codistill.cli import main, make_parser, parse_config_file, resolve_configs
 from codistill.data import load_dataset
 from codistill.errors import ConfigError
@@ -37,6 +38,13 @@ def train_args(data, out, steps=6, seed=1, extra=()):
     return ["train", "--data", str(data), "--out", str(out), "--steps", str(steps), "--seed", str(seed), "--batch-size", "4", "--eval-every", "100", "--checkpoint-every", "0", *extra]
 
 
+def assert_exit_2(argv, capsys, match):
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and match in err[0]
+
+
 @pytest.fixture()
 def dataset_dir(tmp_path):
     out = tmp_path / "data"
@@ -48,24 +56,44 @@ class TestGen:
     def test_writes_n_records(self, tmp_path):
         out = tmp_path / "d"
         assert main(gen_args(out, n=9)) == 0
-        assert len(sorted(out.glob("*.bin"))) == 9
+        assert len(load_dataset(out)) == 9
 
     def test_rerun_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        main(gen_args(a))
-        main(gen_args(b))
-        for fa, fb in zip(sorted(a.glob("*.bin")), sorted(b.glob("*.bin"))):
-            assert fa.read_bytes() == fb.read_bytes()
+        assert main(gen_args(a)) == 0
+        assert main(gen_args(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
 
-    def test_fewer_records_into_filled_directory_rejected(self, tmp_path, capsys):
-        out = tmp_path / "d"
+    def test_rerun_with_fewer_samples_replaces_set(self, tmp_path):
+        out, fresh = tmp_path / "d", tmp_path / "fresh"
         assert main(gen_args(out, n=5, seed=1)) == 0
-        before = [p.read_bytes() for p in sorted(out.glob("*.bin"))]
-        capsys.readouterr()
-        assert main(gen_args(out, n=2, seed=2)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "00002.bin" in err
-        assert [p.read_bytes() for p in sorted(out.glob("*.bin"))] == before
+        assert main(gen_args(out, n=2, seed=2)) == 0
+        assert main(gen_args(fresh, n=2, seed=2)) == 0
+        assert len(load_dataset(out)) == 2
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_interrupted_gen_keeps_earlier_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "d"
+        assert main(gen_args(out, n=3)) == 0
+        before = out.read_bytes()
+
+        def open_interrupted_midway(path, mode):
+            fh = open(path, mode)
+            write = fh.write
+
+            def write_then_interrupt(data):
+                write(data)
+                if fh.tell() > 1000:
+                    raise KeyboardInterrupt
+
+            fh.write = write_then_interrupt
+            return fh
+
+        monkeypatch.setattr(recordio, "open", open_interrupted_midway, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            main(gen_args(out, n=5, seed=2))
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
     def test_rerun_into_same_directory(self, tmp_path):
         out = tmp_path / "d"
@@ -203,6 +231,12 @@ class TestTrain:
         args = make_parser().parse_args(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run")])
         assert resolve_configs(args, (16, 16)) == (ArchConfig(input_hw=(16, 16)), TrainConfig())
 
+    @pytest.mark.parametrize("flag, value", [("alpha", "nan"), ("beta", "inf"), ("sgd-lr", "nan"), ("adamw-lr", "inf")])
+    def test_non_finite_flag_exits_2_naming_key(self, dataset_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        assert_exit_2(train_args(dataset_dir, out, steps=1, extra=[f"--{flag}", value]), capsys, flag.replace("-", "_"))
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exits_3(self, dataset_dir, tmp_path):
         code = main(train_args(dataset_dir, tmp_path / "run", steps=6, extra=["--sgd-lr", "1e200"]))
@@ -310,31 +344,71 @@ class TestSweep:
     def test_bad_values_exit_2(self, dataset_dir, tmp_path):
         assert main(["sweep", "--param", "alpha", "--values", "a,b", "--data", str(dataset_dir), "--out", str(tmp_path / "s"), "--steps", "1"]) == 2
 
+    def test_invalid_cell_fails_before_any_run(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert_exit_2(["sweep", "--param", "alpha", "--values", "0.5,-1", "--data", str(dataset_dir), "--out", str(out), "--steps", "1"], capsys, "alpha")
+        assert not out.exists()
+
 
 class TestOsErrors:
     """An unusable path on the command line exits 2 with a one-line error, not a traceback."""
 
-    def assert_exit_2(self, argv, capsys, match):
-        capsys.readouterr()
-        assert main(argv) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and match in err[0]
-
     def test_eval_checkpoint_is_a_directory(self, dataset_dir, tmp_path, capsys):
         (tmp_path / "ckpt").mkdir()
-        self.assert_exit_2(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(dataset_dir)], capsys, "ckpt")
+        assert_exit_2(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(dataset_dir)], capsys, "ckpt")
 
     def test_train_out_is_a_file(self, dataset_dir, tmp_path, capsys):
         (tmp_path / "taken").write_text("")
-        self.assert_exit_2(train_args(dataset_dir, tmp_path / "taken", steps=1), capsys, "taken")
+        assert_exit_2(train_args(dataset_dir, tmp_path / "taken", steps=1), capsys, "taken")
 
-    def test_gen_out_is_a_file(self, tmp_path, capsys):
+    def test_gen_out_is_a_directory(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        (taken / "keep.txt").write_text("kept")
+        assert_exit_2(gen_args(taken, n=1), capsys, "taken")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert [p.name for p in taken.iterdir()] == ["keep.txt"] and (taken / "keep.txt").read_text() == "kept"
+
+    def test_gen_out_under_a_file(self, tmp_path, capsys):
         (tmp_path / "taken").write_text("")
-        self.assert_exit_2(gen_args(tmp_path / "taken", n=1), capsys, "taken")
+        assert_exit_2(gen_args(tmp_path / "taken" / "set", n=1), capsys, "taken")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
-    def test_train_data_holds_a_directory_record(self, dataset_dir, tmp_path, capsys):
-        (dataset_dir / "x.bin").mkdir()
-        self.assert_exit_2(train_args(dataset_dir, tmp_path / "run", steps=1), capsys, "x.bin")
+    def test_train_data_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "old_records").mkdir()
+        assert_exit_2(train_args(tmp_path / "old_records", tmp_path / "run", steps=1), capsys, "old_records")
+        assert not (tmp_path / "run").exists()
+
+
+class TestBadDataset:
+    """A dataset that is not N×3×H×W images with N×H×W labels exits 2 before any run starts."""
+
+    @pytest.fixture()
+    def one_channel(self, tmp_path):
+        path = tmp_path / "gray"
+        write_archive(path, [("images", np.zeros((4, 1, 16, 16))), ("labels", np.zeros((4, 16, 16)))])
+        return path
+
+    def test_train_on_one_channel_images(self, one_channel, tmp_path, capsys):
+        assert_exit_2(train_args(one_channel, tmp_path / "run", steps=1), capsys, "N×3×H×W")
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_on_one_channel_images(self, dataset_dir, one_channel, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(train_args(dataset_dir, out, steps=1)) == 0
+        assert_exit_2(["eval", "--checkpoint", str(out / "ckpt_final.bin"), "--data", str(one_channel)], capsys, "N×3×H×W")
+
+    def test_train_on_zero_size_images(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        write_archive(empty, [("images", np.zeros((2, 3, 0, 0))), ("labels", np.zeros((2, 0, 0)))])
+        assert_exit_2(train_args(empty, tmp_path / "run", steps=1), capsys, "0x0")
+        assert not (tmp_path / "run").exists()
+
+    def test_train_with_eval_set_of_another_size(self, dataset_dir, tmp_path, capsys):
+        big = tmp_path / "big"
+        assert main(gen_args(big, n=2, size=32)) == 0
+        assert_exit_2(train_args(dataset_dir, tmp_path / "run", steps=1, extra=["--eval-data", str(big)]), capsys, "32x32")
+        assert not (tmp_path / "run").exists()
 
 
 class TestUsage:

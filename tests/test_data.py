@@ -8,15 +8,14 @@ from codistill.data import (
     SynthSpec,
     generate_dataset,
     load_dataset,
-    load_record,
     miou_from_confusion,
     predict_labels,
     save_dataset,
-    save_record,
     update_confusion,
 )
 from codistill.errors import ConfigError, DataError, MetricError
 from codistill.losses import IGNORE_LABEL
+from codistill.recordio import write_archive
 
 
 def bf_miou(pred, gt, k):
@@ -69,31 +68,56 @@ class TestRecords:
         rng = np.random.default_rng(1)
         image = rng.random((3, 8, 8))
         labels = rng.integers(0, 4, (8, 8)).astype(np.uint8)
-        path = tmp_path / "rec.bin"
-        save_record(path, image, labels)
-        image2, labels2 = load_record(path)
+        labels[0, 0] = IGNORE_LABEL
+        path = tmp_path / "set.bin"
+        save_dataset(path, [(image, labels)])
+        ((image2, labels2),) = load_dataset(path)
+        assert (image2.dtype, labels2.dtype) == (np.float64, np.uint8)
         assert image.tobytes() == image2.tobytes()
         assert labels.tobytes() == labels2.tobytes()
 
     def test_dataset_directory_roundtrip(self, tmp_path):
         samples = generate_dataset(SynthSpec(height=8, width=8, seed=2), 4)
-        save_dataset(tmp_path / "d", samples)
-        back = load_dataset(tmp_path / "d")
+        path = tmp_path / "d" / "set.bin"  # the missing parent directory is created
+        save_dataset(path, samples)
+        back = load_dataset(path)
         assert len(back) == 4
         for (ia, la), (ib, lb) in zip(samples, back):
-            np.testing.assert_array_equal(ia, ib)
-            np.testing.assert_array_equal(la, lb)
+            assert ia.tobytes() == ib.tobytes()
+            assert la.tobytes() == lb.tobytes()
 
     def test_empty_directory_rejected(self, tmp_path):
-        with pytest.raises(DataError, match="no .bin"):
-            load_dataset(tmp_path)
+        for path in (tmp_path / "missing", tmp_path):
+            with pytest.raises(DataError, match="cannot read"):
+                load_dataset(path)
 
     def test_truncated_record_rejected(self, tmp_path):
-        path = tmp_path / "rec.bin"
-        save_record(path, np.zeros((3, 4, 4)), np.zeros((4, 4), dtype=np.uint8))
+        path = tmp_path / "set.bin"
+        save_dataset(path, generate_dataset(SynthSpec(height=8, width=8), 2))
         path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(DataError, match="size"):
-            load_record(path)
+        with pytest.raises(DataError, match="truncated"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "records, match",
+        [
+            ([("images", np.zeros((2, 3, 8, 8)))], "expected records"),
+            ([("images", np.zeros((2, 3, 8, 8))), ("labels", np.zeros((2, 8, 8))), ("extra", np.zeros(1))], "expected records"),
+            ([("images", np.zeros((0, 3, 8, 8))), ("labels", np.zeros((0, 8, 8)))], "N >= 1"),
+            ([("images", np.zeros((2, 1, 8, 8))), ("labels", np.zeros((2, 8, 8)))], "N×3×H×W"),
+            ([("images", np.zeros((2, 3, 8, 8))), ("labels", np.zeros((2, 8, 7)))], "N×3×H×W"),
+            ([("images", np.zeros((2, 3, 8, 8))), ("labels", np.full((2, 8, 8), 2.5))], "integers"),
+            ([("images", np.zeros((2, 3, 8, 8))), ("labels", np.full((2, 8, 8), 256.0))], "integers"),
+            ([("images", np.zeros((2, 3, 8, 8))), ("labels", np.full((2, 8, 8), -1.0))], "integers"),
+            ([("images", np.zeros((2, 3, 8, 8))), ("labels", np.full((2, 8, 8), np.nan))], "integers"),
+        ],
+        ids=["images_only", "extra_record", "no_samples", "one_channel", "label_shape", "label_2.5", "label_256", "label_neg", "label_nan"],
+    )
+    def test_malformed_dataset_rejected(self, tmp_path, records, match):
+        path = tmp_path / "set.bin"
+        write_archive(path, records)
+        with pytest.raises(DataError, match=match):
+            load_dataset(path)
 
 
 class TestMiou:

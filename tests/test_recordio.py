@@ -80,3 +80,10 @@ def test_failed_write_keeps_old_file(tmp_path):
 def test_unreadable_path_rejected(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         read_archive(tmp_path)
+
+
+def test_duplicate_record_name_rejected(tmp_path):
+    path = tmp_path / "arc.bin"
+    write_archive(path, [("x", np.zeros(2)), ("x", np.ones(2))])
+    with pytest.raises(DataError, match="duplicate record x"):
+        read_archive(path)

@@ -33,3 +33,19 @@ def test_every_top_level_function_and_class_has_a_program_caller():
             uncalled.append(f"{module}:{definition.lineno} {definition.name}")
     assert not uncalled, "no reference inside src/codistill: " + ", ".join(uncalled)
     assert NO_CALLER_YET <= {node.name for _, node in defs}, "an allowed exception no longer exists"
+
+
+def test_only_recordio_imports_struct():
+    """One module owns the binary on-disk format."""
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "struct" for name in names):
+                importers.add(path.name)
+    assert importers == {"recordio.py"}

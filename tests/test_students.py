@@ -50,6 +50,11 @@ class TestArchConfig:
         with pytest.raises(ConfigError):
             ArchConfig(**{**dict(), **kwargs})
 
+    @pytest.mark.parametrize("hw", [(0, 0), (0, 32), (-8, 32)])
+    def test_empty_input_rejected(self, hw):
+        with pytest.raises(ConfigError, match="non-empty"):
+            ArchConfig(input_hw=hw)
+
 
 class TestCnnForward:
     def test_declared_shapes(self, default_pair):

@@ -516,3 +516,17 @@ class TestConfigValidation:
     def test_bad_configs_rejected(self, kw):
         with pytest.raises(ConfigError):
             TrainConfig(**kw)
+
+    @pytest.mark.parametrize(
+        "kw, key",
+        [
+            (dict(alpha=float("nan")), "alpha"),
+            (dict(gamma=float("inf")), "gamma"),
+            (dict(sgd=SGDConfig(weight_decay=float("nan"))), "sgd_weight_decay"),
+            (dict(adamw=AdamWConfig(eps=float("inf"))), "adamw_eps"),
+            (dict(adamw=AdamWConfig(lr=float("-inf"))), "adamw_lr"),
+        ],
+    )
+    def test_non_finite_floats_rejected_naming_key(self, kw, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            TrainConfig(**kw)
