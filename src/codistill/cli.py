@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -22,10 +22,9 @@ from .trainer import TrainConfig, evaluate, load_checkpoint, run_training
 
 # config keys -------------------------------------------------------------
 #
-# Keys are the field names of TrainConfig and ArchConfig; nested optimizer
-# configs flatten under their field's prefix (sgd_lr, adamw_eps, ...). Each
-# key parses as the type of its default. input_hw is not a key: the
-# training data decides it.
+# Keys are the field names of TrainConfig and ArchConfig. Each key parses as
+# the type of its default. input_hw is not a key: the training data decides
+# it.
 
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
@@ -40,26 +39,14 @@ def _parse_ints(raw: str) -> tuple:
     return tuple(int(v) for v in raw.split(","))
 
 
-def _flatten(cfg, prefix=""):
-    """(key, value) pairs of a config dataclass, nested ones flattened."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if is_dataclass(value):
-            yield from _flatten(value, f"{prefix}{f.name}_")
-        elif f.name != "input_hw":
-            yield prefix + f.name, value
+def _flatten(cfg):
+    """(key, value) pairs of a config dataclass."""
+    return [(f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name != "input_hw"]
 
 
-def _build(cls, values, prefix="", **fixed):
-    """A config dataclass from flat key values; absent keys keep defaults."""
-    kwargs = dict(fixed)
-    for f in fields(cls):
-        key = prefix + f.name
-        if is_dataclass(f.default_factory):
-            kwargs[f.name] = _build(f.default_factory, values, f"{key}_")
-        elif key in values:
-            kwargs[f.name] = values[key]
-    return cls(**kwargs)
+def _build(cls, values, **fixed):
+    """A config dataclass from key values; absent keys keep defaults."""
+    return cls(**fixed, **{f.name: values[f.name] for f in fields(cls) if f.name in values})
 
 
 _PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_ints}
@@ -241,13 +228,6 @@ def cmd_sweep(args) -> int:
 
 # argument parsing ---------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        sys.exit(2)
-
-
 def _add_train_flags(p):
     p.add_argument("--config", help="key = value config file")
     for key in _FLAG_KEYS:
@@ -259,8 +239,8 @@ def _add_train_flags(p):
     p.add_argument("--eval-data", dest="eval_data", help="held-out dataset file")
 
 
-def make_parser() -> _Parser:
-    parser = _Parser(prog="codistill", description="Collaborative two-student segmentation distillation")
+def make_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="codistill", description="Collaborative two-student segmentation distillation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset file")

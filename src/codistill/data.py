@@ -40,6 +40,8 @@ class SynthSpec:
             raise ConfigError(f"bad shape count range [{self.min_shapes}, {self.max_shapes}]")
         if self.noise < 0:
             raise ConfigError(f"noise must be non-negative, got {self.noise}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def class_color(c: int, num_classes: int) -> np.ndarray:
@@ -116,33 +118,26 @@ def load_dataset(path):
 
 # evaluation -----------------------------------------------------------
 
-@dataclass
-class ConfusionMatrix:
-    counts: np.ndarray  # K×K int64, rows = ground truth, cols = prediction
-
-    @classmethod
-    def empty(cls, num_classes: int) -> "ConfusionMatrix":
-        return cls(counts=np.zeros((num_classes, num_classes), dtype=np.int64))
-
-
-def update_confusion(cm: ConfusionMatrix, pred_labels: np.ndarray, gt_labels: np.ndarray) -> ConfusionMatrix:
-    k = cm.counts.shape[0]
+def update_confusion(cm: np.ndarray, pred_labels: np.ndarray, gt_labels: np.ndarray) -> np.ndarray:
+    """Add the pixel counts into cm, a K×K int64 array (rows = ground truth,
+    cols = prediction), and return it."""
+    k = cm.shape[0]
     valid = gt_labels != IGNORE_LABEL
     gt = gt_labels[valid].astype(int)
     pred = pred_labels[valid].astype(int)
     if gt.size and (gt.min() < 0 or gt.max() >= k or pred.min() < 0 or pred.max() >= k):
         raise DataError(f"labels outside [0, {k}) in confusion update")
-    np.add.at(cm.counts, (gt, pred), 1)
+    np.add.at(cm, (gt, pred), 1)
     return cm
 
 
-def miou_from_confusion(cm: ConfusionMatrix) -> float:
+def miou_from_confusion(cm: np.ndarray) -> float:
     """Mean IoU over classes present in prediction or ground truth."""
-    if cm.counts.sum() == 0:
+    if cm.sum() == 0:
         raise MetricError("mIoU undefined: no evaluated pixels (all ignored?)")
-    tp = np.diag(cm.counts).astype(float)
-    fp = cm.counts.sum(axis=0) - tp
-    fn = cm.counts.sum(axis=1) - tp
+    tp = np.diag(cm).astype(float)
+    fp = cm.sum(axis=0) - tp
+    fn = cm.sum(axis=1) - tp
     union = tp + fp + fn
     present = union > 0
     return float((tp[present] / union[present]).mean())

@@ -55,17 +55,6 @@ def apply_adapter(f: Tensor, adapter: FeatureAdapter) -> Tensor:
     return out
 
 
-def _pool_factor(src_hw, dst_hw, what):
-    if src_hw[0] < dst_hw[0] or src_hw[1] < dst_hw[1]:
-        raise ConfigError(f"{what}: cannot pool {src_hw} down to larger grid {dst_hw}")
-    if src_hw[0] % dst_hw[0] or src_hw[1] % dst_hw[1]:
-        raise ConfigError(f"{what}: grid {src_hw} not divisible onto {dst_hw}")
-    ph, pw = src_hw[0] // dst_hw[0], src_hw[1] // dst_hw[1]
-    if ph != pw:
-        raise ConfigError(f"{what}: anisotropic pooling {ph}x{pw} not supported")
-    return ph
-
-
 @dataclass
 class AdapterSet:
     c1: FeatureAdapter  # cnn f1 -> vit f1 geometry, owned by the CNN objective
@@ -86,16 +75,18 @@ def adapter_geometry(cfg: ArchConfig) -> dict:
     c1/v1 reshape first features across students; cl/vl reshape last
     features onto the shared region grid (common channels = the CNN's
     last channel count, common spatial = the ViT's last-stage grid).
+    A valid ArchConfig (patch size 2, input divisible by 8) makes every
+    pool factor the whole, isotropic ratio of the two grids.
     """
     c1, _, c3 = cfg.cnn_channels
     d1, _, d3 = cfg.vit_dims
     f1c, f1v = cfg.cnn_feature_hw("f1"), cfg.vit_feature_hw("f1")
     flc, flv = cfg.cnn_feature_hw("fl"), cfg.vit_feature_hw("fl")
     return {
-        "c1": (c1, d1, _pool_factor(f1c, f1v, "first-feature adapter (cnn->vit)")),
-        "v1": (d1, c1, _pool_factor(f1v, f1c, "first-feature adapter (vit->cnn)")),
-        "cl": (c3, c3, _pool_factor(flc, flv, "last-feature adapter (cnn)")),
-        "vl": (d3, c3, _pool_factor(flv, flv, "last-feature adapter (vit)")),
+        "c1": (c1, d1, f1c[0] // f1v[0]),
+        "v1": (d1, c1, f1v[0] // f1c[0]),
+        "cl": (c3, c3, flc[0] // flv[0]),
+        "vl": (d3, c3, 1),
     }
 
 

@@ -62,7 +62,7 @@ def write_archive(path, records) -> None:
             fh.write(raw)
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(arr)  # the contiguous buffer itself: tobytes() would copy the record
 
 
 def read_archive(path) -> dict:

@@ -63,6 +63,8 @@ class ArchConfig:
             raise ConfigError("cnn_channels and vit_dims must each have 3 entries")
         if min(self.cnn_channels) < 1 or min(self.vit_dims) < 1:
             raise ConfigError("channel counts must be positive")
+        if self.num_heads < 1:
+            raise ConfigError(f"num_heads must be >= 1, got {self.num_heads}")
         if h < 1 or w < 1:
             raise ConfigError(f"input {h}x{w} must be non-empty")
         if h % 4 or w % 4:
@@ -71,15 +73,11 @@ class ArchConfig:
             # both first features must share a spatial grid (stride 2); the
             # shape adapters pool and never upsample
             raise ConfigError(f"patch size must be 2, got {p}")
-        if h % p or w % p:
-            raise ConfigError(f"input {h}x{w} not divisible by patch size {p}")
         if (h // p) % 4 or (w // p) % 4:
             raise ConfigError(f"token grid {h // p}x{w // p} must be divisible by 4 (ViT stride plan)")
         for d in self.vit_dims:
             if d % self.num_heads:
                 raise ConfigError(f"dim {d} not divisible by {self.num_heads} heads")
-        if min(self.vit_dims) // self.num_heads < 1:
-            raise ConfigError("per-head key dimension must be >= 1")
         if self.ffn_ratio < 1:
             raise ConfigError("ffn_ratio must be >= 1")
 

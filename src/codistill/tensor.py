@@ -54,10 +54,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise GraphError(f"item() needs a one-element tensor, got shape {self.shape}")
@@ -133,9 +129,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None):
         return tsum(self, axis=axis)

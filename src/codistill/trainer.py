@@ -15,13 +15,13 @@ objective detached, so backward(L_cnn) cannot move the ViT and vice versa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bsd import bsd_loss, build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
-from .data import ConfusionMatrix, miou_from_confusion, predict_labels, update_confusion
+from .data import miou_from_confusion, predict_labels, update_confusion
 from .errors import ConfigError, DataError, TrainingError
 from .hfd import AdapterSet, adapter_param_specs, apply_adapter, hfd_loss_cnn, hfd_loss_vit, init_adapters
 from .losses import pixel_ce
@@ -42,22 +42,6 @@ from .tensor import Tensor, log_softmax, zero_grads
 
 
 @dataclass(frozen=True)
-class SGDConfig:
-    lr: float = 0.005
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-
-
-@dataclass(frozen=True)
-class AdamWConfig:
-    lr: float = 4e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     alpha: float = 1.0  # pixel- vs region-grain balance inside the selective term
     beta: float = 0.1  # weight of the feature-alignment term
@@ -65,8 +49,14 @@ class TrainConfig:
     steps: int = 300
     batch_size: int = 8
     seed: int = 0
-    sgd: SGDConfig = field(default_factory=SGDConfig)
-    adamw: AdamWConfig = field(default_factory=AdamWConfig)
+    sgd_lr: float = 0.005
+    sgd_momentum: float = 0.9
+    sgd_weight_decay: float = 5e-4
+    adamw_lr: float = 4e-4
+    adamw_beta1: float = 0.9
+    adamw_beta2: float = 0.999
+    adamw_eps: float = 1e-8
+    adamw_weight_decay: float = 0.01
     hfd_on: bool = True
     region_bsd_on: bool = True
     pixel_bsd_on: bool = True
@@ -74,28 +64,29 @@ class TrainConfig:
     checkpoint_every: int = 100
 
     def __post_init__(self):
-        for prefix, cfg in (("", self), ("sgd_", self.sgd), ("adamw_", self.adamw)):
-            for f in fields(cfg):
-                value = getattr(cfg, f.name)
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ConfigError(f"{prefix}{f.name} must be finite, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("alpha", "beta", "gamma"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.sgd.lr <= 0 or self.adamw.lr <= 0:
+        if self.sgd_lr <= 0 or self.adamw_lr <= 0:
             raise ConfigError("learning rates must be positive")
-        if not 0 <= self.sgd.momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.sgd.momentum}")
-        for b in (self.adamw.beta1, self.adamw.beta2):
+        if not 0 <= self.sgd_momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.sgd_momentum}")
+        for b in (self.adamw_beta1, self.adamw_beta2):
             if not 0 <= b < 1:
                 raise ConfigError(f"adamw betas must be in [0, 1), got {b}")
-        if self.adamw.eps <= 0:
+        if self.adamw_eps <= 0:
             raise ConfigError("adamw eps must be positive")
-        if self.sgd.weight_decay < 0 or self.adamw.weight_decay < 0:
+        if self.sgd_weight_decay < 0 or self.adamw_weight_decay < 0:
             raise ConfigError("weight decay must be non-negative")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
@@ -137,9 +128,9 @@ def adamw_update(p, g, m1, m2, t, lr, beta1, beta2, eps, wd):
 
 
 class SgdMomentum:
-    def __init__(self, named_params, cfg: SGDConfig):
+    def __init__(self, named_params, lr, momentum, weight_decay):
         self.params = list(named_params)
-        self.cfg = cfg
+        self.lr, self.momentum, self.weight_decay = lr, momentum, weight_decay
         self.velocity = {name: np.zeros_like(p.data) for name, p in self.params}
 
     def step(self):
@@ -147,25 +138,24 @@ class SgdMomentum:
             if p.grad is None:
                 continue
             p.data, self.velocity[name] = sgd_momentum_update(
-                p.data, p.grad, self.velocity[name], self.cfg.lr, self.cfg.momentum, self.cfg.weight_decay
+                p.data, p.grad, self.velocity[name], self.lr, self.momentum, self.weight_decay
             )
 
 class AdamW:
-    def __init__(self, named_params, cfg: AdamWConfig):
+    def __init__(self, named_params, lr, beta1, beta2, eps, weight_decay):
         self.params = list(named_params)
-        self.cfg = cfg
+        self.lr, self.beta1, self.beta2, self.eps, self.weight_decay = lr, beta1, beta2, eps, weight_decay
         self.m1 = {name: np.zeros_like(p.data) for name, p in self.params}
         self.m2 = {name: np.zeros_like(p.data) for name, p in self.params}
         self.t = 0
 
     def step(self):
         self.t += 1
-        c = self.cfg
         for name, p in self.params:
             if p.grad is None:
                 continue
             p.data, self.m1[name], self.m2[name] = adamw_update(
-                p.data, p.grad, self.m1[name], self.m2[name], self.t, c.lr, c.beta1, c.beta2, c.eps, c.weight_decay
+                p.data, p.grad, self.m1[name], self.m2[name], self.t, self.lr, self.beta1, self.beta2, self.eps, self.weight_decay
             )
 
 
@@ -241,8 +231,11 @@ def make_train_state(acfg: ArchConfig, tcfg: TrainConfig) -> TrainState:
     params_c = init_cnn_params(acfg, substream(tcfg.seed, "init_cnn"))
     params_v = init_vit_params(acfg, substream(tcfg.seed, "init_vit"))
     adapters = init_adapters(acfg, substream(tcfg.seed, "init_adapters"))
-    opt_c = SgdMomentum(list(params_c.items()) + adapters.cnn_side(), tcfg.sgd)
-    opt_v = AdamW(list(params_v.items()) + adapters.vit_side(), tcfg.adamw)
+    opt_c = SgdMomentum(list(params_c.items()) + adapters.cnn_side(), tcfg.sgd_lr, tcfg.sgd_momentum, tcfg.sgd_weight_decay)
+    opt_v = AdamW(
+        list(params_v.items()) + adapters.vit_side(),
+        tcfg.adamw_lr, tcfg.adamw_beta1, tcfg.adamw_beta2, tcfg.adamw_eps, tcfg.adamw_weight_decay,
+    )
     return TrainState(acfg=acfg, params_c=params_c, params_v=params_v, adapters=adapters, opt_c=opt_c, opt_v=opt_v)
 
 
@@ -281,8 +274,8 @@ def evaluate(params_c, params_v, acfg: ArchConfig, dataset):
     """(mIoU of the CNN student, mIoU of the ViT student) on a dataset,
     forwarded EVAL_CHUNK images at a time."""
     frozen_c, frozen_v = detach_params(params_c), detach_params(params_v)
-    cm_c = ConfusionMatrix.empty(acfg.num_classes)
-    cm_v = ConfusionMatrix.empty(acfg.num_classes)
+    cm_c = np.zeros((acfg.num_classes, acfg.num_classes), np.int64)
+    cm_v = np.zeros((acfg.num_classes, acfg.num_classes), np.int64)
     for i in range(0, len(dataset), EVAL_CHUNK):
         chunk = dataset[i : i + EVAL_CHUNK]
         x = Tensor(np.stack([image for image, _ in chunk]))

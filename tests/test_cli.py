@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from codistill import recordio
-from codistill.cli import main, make_parser, parse_config_file, resolve_configs
+from codistill.cli import _KEYS, _parse_bool, _parse_ints, main, make_parser, parse_config_file, resolve_configs
 from codistill.data import load_dataset
 from codistill.errors import ConfigError
 from codistill.recordio import read_archive, write_archive
@@ -15,8 +15,6 @@ from codistill.students import ArchConfig, cnn_forward, init_cnn_params, init_vi
 from codistill.tensor import Tensor, log_softmax, zero_grads
 from codistill.trainer import (
     AdamW,
-    AdamWConfig,
-    SGDConfig,
     SgdMomentum,
     TrainConfig,
     make_train_state,
@@ -102,6 +100,10 @@ class TestGen:
         assert main(gen_args(out, n=4)) == 0
         assert len(load_dataset(out)) == 4
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert_exit_2(gen_args(tmp_path / "d", seed=-1), capsys, "seed")
+        assert not any(tmp_path.iterdir())
+
     def test_class_coverage(self, tmp_path):
         out = tmp_path / "d"
         main(gen_args(out, n=40, seed=0) + ["--min-shapes", "2", "--max-shapes", "3"])
@@ -172,8 +174,12 @@ class TestTrain:
                 losses.append(total.item() / batch)
             return losses
 
-        solo_c = solo_run(init_cnn_params, "init_cnn", cnn_forward, lambda p: SgdMomentum(p, SGDConfig()))
-        solo_v = solo_run(init_vit_params, "init_vit", vit_forward, lambda p: AdamW(p, AdamWConfig()))
+        t = TrainConfig()
+        solo_c = solo_run(init_cnn_params, "init_cnn", cnn_forward, lambda p: SgdMomentum(p, t.sgd_lr, t.sgd_momentum, t.sgd_weight_decay))
+        solo_v = solo_run(
+            init_vit_params, "init_vit", vit_forward,
+            lambda p: AdamW(p, t.adamw_lr, t.adamw_beta1, t.adamw_beta2, t.adamw_eps, t.adamw_weight_decay),
+        )
         # the log stores 9 significant digits, so compare at that precision
         for record, expect_c, expect_v in zip(paired, solo_c, solo_v):
             assert record["l_ce_c"] == float(format(expect_c, ".9g"))
@@ -237,6 +243,33 @@ class TestTrain:
         assert_exit_2(train_args(dataset_dir, out, steps=1, extra=[f"--{flag}", value]), capsys, flag.replace("-", "_"))
         assert not out.exists()
 
+    def test_negative_seed_exits_2(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert_exit_2(train_args(dataset_dir, out, steps=1, seed=-1), capsys, "seed")
+        assert not out.exists()
+
+    def test_zero_heads_exits_2(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "heads.cfg"
+        cfg.write_text("num_heads = 0\n")
+        out = tmp_path / "run"
+        assert_exit_2(train_args(dataset_dir, out, steps=1, extra=["--config", str(cfg)]), capsys, "num_heads")
+        assert not out.exists()
+
+    def test_config_keys_are_the_readme_list(self):
+        """Every config key, in manifest order, with the parser its value goes through."""
+        expected = [
+            ("alpha", float), ("beta", float), ("gamma", float), ("steps", int), ("batch_size", int), ("seed", int),
+            ("sgd_lr", float), ("sgd_momentum", float), ("sgd_weight_decay", float),
+            ("adamw_lr", float), ("adamw_beta1", float), ("adamw_beta2", float), ("adamw_eps", float), ("adamw_weight_decay", float),
+            ("hfd_on", _parse_bool), ("region_bsd_on", _parse_bool), ("pixel_bsd_on", _parse_bool),
+            ("eval_every", int), ("checkpoint_every", int),
+            ("num_classes", int), ("cnn_channels", _parse_ints), ("vit_dims", _parse_ints),
+            ("patch_size", int), ("num_heads", int), ("ffn_ratio", int),
+        ]
+        assert list(_KEYS.items()) == expected
+        readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+        assert ", ".join(key for key, _ in expected) + "." in readme
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exits_3(self, dataset_dir, tmp_path):
         code = main(train_args(dataset_dir, tmp_path / "run", steps=6, extra=["--sgd-lr", "1e200"]))
@@ -285,6 +318,13 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(out / "ckpt_final.bin"), "--data", str(big)]) == 2
         assert "32x32" in capsys.readouterr().err
+
+    def test_zero_heads_checkpoint_exits_2(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(train_args(dataset_dir, out, steps=1)) == 0
+        ckpt = out / "ckpt_final.bin"
+        write_archive(ckpt, [(name, np.zeros(1) if name == "config/num_heads" else arr) for name, arr in read_archive(ckpt).items()])
+        assert_exit_2(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_dir)], capsys, "num_heads")
 
     @pytest.mark.parametrize("damage", ["cut_10", "cut_1000", "drop_config/num_classes", "drop_cnn/head_b", "shrink_vit/s1_wq", "shrink_adapter_cl/weight"])
     def test_damaged_checkpoint_exits_2(self, dataset_dir, tmp_path, capsys, damage):

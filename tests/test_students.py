@@ -218,7 +218,7 @@ class TestBatchAxis:
 class TestBudgetAndDeterminism:
     def test_parameter_budget(self, default_pair):
         params_c, params_v = default_pair
-        assert sum(p.size for params in (params_c, params_v) for p in params.values()) < 50_000
+        assert sum(p.data.size for params in (params_c, params_v) for p in params.values()) < 50_000
 
     def test_detach_params_blocks_gradients(self, default_pair):
         params_c, _ = default_pair

@@ -21,8 +21,6 @@ from codistill.students import ArchConfig, StudentOutputs, cnn_forward, vit_forw
 from codistill.tensor import Tensor, div, log_softmax, zero_grads
 from codistill.trainer import (
     AdamW,
-    AdamWConfig,
-    SGDConfig,
     SgdMomentum,
     TrainConfig,
     adamw_update,
@@ -209,8 +207,11 @@ class TestTrainStep:
         sample = generate_dataset(SPEC, 1)
         tcfg = micro_tcfg(steps=1, batch_size=1)
         state = make_train_state(MICRO, tcfg)
-        state.opt_c = SgdMomentum(list(state.params_c.items()) + state.adapters.cnn_side(), SGDConfig(lr=0.0))
-        state.opt_v = AdamW(list(state.params_v.items()) + state.adapters.vit_side(), AdamWConfig(lr=0.0))
+        state.opt_c = SgdMomentum(list(state.params_c.items()) + state.adapters.cnn_side(), 0.0, tcfg.sgd_momentum, tcfg.sgd_weight_decay)
+        state.opt_v = AdamW(
+            list(state.params_v.items()) + state.adapters.vit_side(),
+            0.0, tcfg.adamw_beta1, tcfg.adamw_beta2, tcfg.adamw_eps, tcfg.adamw_weight_decay,
+        )
         before = {k: p.data.copy() for k, p in state.params_c.items()}
         losses = []
         for _ in range(3):
@@ -240,7 +241,7 @@ class TestTrainStep:
         grads = {k: p.grad.copy() for k, p in replica.params_c.items()}
 
         train_step(batch, state, tcfg)
-        lr, mu, wd = tcfg.sgd.lr, tcfg.sgd.momentum, tcfg.sgd.weight_decay
+        lr, mu, wd = tcfg.sgd_lr, tcfg.sgd_momentum, tcfg.sgd_weight_decay
         for k in before:
             v = grads[k] + wd * before[k]  # first step: velocity buffer starts at 0
             np.testing.assert_allclose(state.params_c[k].data, before[k] - lr * v, rtol=1e-12)
@@ -507,9 +508,9 @@ class TestConfigValidation:
             dict(steps=0),
             dict(batch_size=0),
             dict(alpha=-0.1),
-            dict(sgd=SGDConfig(lr=0.0)),
-            dict(adamw=AdamWConfig(lr=-1.0)),
-            dict(sgd=SGDConfig(momentum=1.0)),
+            dict(sgd_lr=0.0),
+            dict(adamw_lr=-1.0),
+            dict(sgd_momentum=1.0),
             dict(eval_every=0),
         ],
     )
@@ -522,9 +523,9 @@ class TestConfigValidation:
         [
             (dict(alpha=float("nan")), "alpha"),
             (dict(gamma=float("inf")), "gamma"),
-            (dict(sgd=SGDConfig(weight_decay=float("nan"))), "sgd_weight_decay"),
-            (dict(adamw=AdamWConfig(eps=float("inf"))), "adamw_eps"),
-            (dict(adamw=AdamWConfig(lr=float("-inf"))), "adamw_lr"),
+            (dict(sgd_weight_decay=float("nan")), "sgd_weight_decay"),
+            (dict(adamw_eps=float("inf")), "adamw_eps"),
+            (dict(adamw_lr=float("-inf")), "adamw_lr"),
         ],
     )
     def test_non_finite_floats_rejected_naming_key(self, kw, key):
