@@ -1,6 +1,6 @@
 """Command-line interface: gen, train, eval, ablate, sweep.
 
-Exit codes: 0 success, 2 usage, configuration or input problem, 3 numeric
+Exit codes: 0 success, 2 usage, configuration, input or output problem, 3 numeric
 failure during training. Every command's outputs are reproducible from
 its arguments and seed.
 """
@@ -52,7 +52,7 @@ def _build(cls, values, **fixed):
 _PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_ints}
 _KEYS = {key: _PARSERS[type(value)] for cfg in (TrainConfig(), ArchConfig()) for key, value in _flatten(cfg)}
 # keys that are also command-line flags; booleans become --x / --no-x
-_FLAG_KEYS = ("seed", "steps", "batch_size", "alpha", "beta", "gamma", "eval_every", "checkpoint_every", "sgd_lr", "adamw_lr", "hfd_on", "region_bsd_on", "pixel_bsd_on")
+_FLAG_KEYS = ("seed", "steps", "batch_size", "alpha", "beta", "gamma", "eval_every", "checkpoint_every", "sgd_lr", "adamw_lr", "region_bsd_on")
 
 
 def parse_config_file(path) -> dict:
@@ -185,17 +185,18 @@ def cmd_ablate(args) -> int:
     datasets, acfg, base = _prepare(args)
     out_dir = Path(args.out)
     rows = []
-    for hfd_on, region_on, pixel_on in _TOGGLE_GRID:
-        tcfg = replace(base, hfd_on=hfd_on, region_bsd_on=region_on, pixel_bsd_on=pixel_on)
-        cell = out_dir / f"cell_hfd{int(hfd_on)}_r{int(region_on)}_p{int(pixel_on)}"
+    for hfd, region, pixel in _TOGGLE_GRID:
+        # a component is off when its weight is 0; region BSD keeps its toggle
+        tcfg = replace(base, beta=base.beta if hfd else 0.0, alpha=base.alpha if pixel else 0.0, region_bsd_on=region)
+        cell = out_dir / f"cell_hfd{int(hfd)}_r{int(region)}_p{int(pixel)}"
         result = _run_one_training(args, datasets, acfg, tcfg, cell)
-        rows.append((hfd_on, region_on, pixel_on, result.miou_c, result.miou_v))
+        rows.append((hfd, region, pixel, result.miou_c, result.miou_v))
     base_sum = rows[0][3] + rows[0][4]  # all-off cell
     header = "hfd\tregion\tpixel\tmiou_c\tmiou_v\tdelta"
     lines = [header]
-    for hfd_on, region_on, pixel_on, miou_c, miou_v in rows:
+    for hfd, region, pixel, miou_c, miou_v in rows:
         delta = miou_c + miou_v - base_sum
-        lines.append(f"{int(hfd_on)}\t{int(region_on)}\t{int(pixel_on)}\t{miou_c:.9g}\t{miou_v:.9g}\t{delta:.9g}")
+        lines.append(f"{int(hfd)}\t{int(region)}\t{int(pixel)}\t{miou_c:.9g}\t{miou_v:.9g}\t{delta:.9g}")
     table = "\n".join(lines)
     (out_dir / "ablation.tsv").write_text(table + "\n")
     print(table)
@@ -284,7 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, MetricError) as exc:
+    except (ConfigError, DataError, MetricError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

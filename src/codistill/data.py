@@ -34,8 +34,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.height < 8 or self.width < 8:
             raise ConfigError(f"images must be at least 8x8, got {self.height}x{self.width}")
-        if self.num_classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
+        if not 2 <= self.num_classes <= IGNORE_LABEL:  # labels are uint8 and 255 means ignore
+            raise ConfigError(f"num_classes must be in [2, {IGNORE_LABEL}], got {self.num_classes}")
         if self.min_shapes < 1 or self.max_shapes < self.min_shapes:
             raise ConfigError(f"bad shape count range [{self.min_shapes}, {self.max_shapes}]")
         if self.noise < 0:

@@ -50,16 +50,8 @@ class TrainConfig:
     batch_size: int = 8
     seed: int = 0
     sgd_lr: float = 0.005
-    sgd_momentum: float = 0.9
-    sgd_weight_decay: float = 5e-4
     adamw_lr: float = 4e-4
-    adamw_beta1: float = 0.9
-    adamw_beta2: float = 0.999
-    adamw_eps: float = 1e-8
-    adamw_weight_decay: float = 0.01
-    hfd_on: bool = True
     region_bsd_on: bool = True
-    pixel_bsd_on: bool = True
     eval_every: int = 50
     checkpoint_every: int = 100
 
@@ -79,25 +71,16 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.sgd_lr <= 0 or self.adamw_lr <= 0:
             raise ConfigError("learning rates must be positive")
-        if not 0 <= self.sgd_momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.sgd_momentum}")
-        for b in (self.adamw_beta1, self.adamw_beta2):
-            if not 0 <= b < 1:
-                raise ConfigError(f"adamw betas must be in [0, 1), got {b}")
-        if self.adamw_eps <= 0:
-            raise ConfigError("adamw eps must be positive")
-        if self.sgd_weight_decay < 0 or self.adamw_weight_decay < 0:
-            raise ConfigError("weight decay must be non-negative")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
 
-    # effective toggles: a term with weight 0 is never assembled, so turning
-    # a toggle off and zeroing its weight give bitwise-identical trajectories
+    # a term with weight 0 is never assembled; region BSD alone has a toggle,
+    # because gamma scales L_r and L_p together and alpha scales only L_p
     @property
     def hfd_active(self):
-        return self.hfd_on and self.beta != 0.0
+        return self.beta != 0.0
 
     @property
     def region_active(self):
@@ -105,10 +88,19 @@ class TrainConfig:
 
     @property
     def pixel_active(self):
-        return self.pixel_bsd_on and self.gamma != 0.0 and self.alpha != 0.0
+        return self.gamma != 0.0 and self.alpha != 0.0
 
 
 # optimizer update rules ------------------------------------------------
+
+# the paper's fixed recipe: SGD with momentum for the CNN, AdamW for the ViT
+SGD_MOMENTUM = 0.9
+SGD_WEIGHT_DECAY = 5e-4
+ADAMW_BETA1 = 0.9
+ADAMW_BETA2 = 0.999
+ADAMW_EPS = 1e-8
+ADAMW_WEIGHT_DECAY = 0.01
+
 
 def sgd_momentum_update(p, g, v, lr, mu, wd):
     """Weight decay folds into the gradient before the momentum buffer."""
@@ -128,9 +120,9 @@ def adamw_update(p, g, m1, m2, t, lr, beta1, beta2, eps, wd):
 
 
 class SgdMomentum:
-    def __init__(self, named_params, lr, momentum, weight_decay):
+    def __init__(self, named_params, lr):
         self.params = list(named_params)
-        self.lr, self.momentum, self.weight_decay = lr, momentum, weight_decay
+        self.lr = lr
         self.velocity = {name: np.zeros_like(p.data) for name, p in self.params}
 
     def step(self):
@@ -138,13 +130,13 @@ class SgdMomentum:
             if p.grad is None:
                 continue
             p.data, self.velocity[name] = sgd_momentum_update(
-                p.data, p.grad, self.velocity[name], self.lr, self.momentum, self.weight_decay
+                p.data, p.grad, self.velocity[name], self.lr, SGD_MOMENTUM, SGD_WEIGHT_DECAY
             )
 
 class AdamW:
-    def __init__(self, named_params, lr, beta1, beta2, eps, weight_decay):
+    def __init__(self, named_params, lr):
         self.params = list(named_params)
-        self.lr, self.beta1, self.beta2, self.eps, self.weight_decay = lr, beta1, beta2, eps, weight_decay
+        self.lr = lr
         self.m1 = {name: np.zeros_like(p.data) for name, p in self.params}
         self.m2 = {name: np.zeros_like(p.data) for name, p in self.params}
         self.t = 0
@@ -155,7 +147,7 @@ class AdamW:
             if p.grad is None:
                 continue
             p.data, self.m1[name], self.m2[name] = adamw_update(
-                p.data, p.grad, self.m1[name], self.m2[name], self.t, self.lr, self.beta1, self.beta2, self.eps, self.weight_decay
+                p.data, p.grad, self.m1[name], self.m2[name], self.t, self.lr, ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS, ADAMW_WEIGHT_DECAY
             )
 
 
@@ -231,11 +223,8 @@ def make_train_state(acfg: ArchConfig, tcfg: TrainConfig) -> TrainState:
     params_c = init_cnn_params(acfg, substream(tcfg.seed, "init_cnn"))
     params_v = init_vit_params(acfg, substream(tcfg.seed, "init_vit"))
     adapters = init_adapters(acfg, substream(tcfg.seed, "init_adapters"))
-    opt_c = SgdMomentum(list(params_c.items()) + adapters.cnn_side(), tcfg.sgd_lr, tcfg.sgd_momentum, tcfg.sgd_weight_decay)
-    opt_v = AdamW(
-        list(params_v.items()) + adapters.vit_side(),
-        tcfg.adamw_lr, tcfg.adamw_beta1, tcfg.adamw_beta2, tcfg.adamw_eps, tcfg.adamw_weight_decay,
-    )
+    opt_c = SgdMomentum(list(params_c.items()) + adapters.cnn_side(), tcfg.sgd_lr)
+    opt_v = AdamW(list(params_v.items()) + adapters.vit_side(), tcfg.adamw_lr)
     return TrainState(acfg=acfg, params_c=params_c, params_v=params_v, adapters=adapters, opt_c=opt_c, opt_v=opt_v)
 
 

@@ -14,27 +14,38 @@ RTOL = 1e-5
 FLOOR = 1e-6  # below this magnitude the relative error is not meaningful
 
 
-def numeric_grad_at(f, leaf, indices, h=STEP):
-    """Central differences of f() w.r.t. flat `indices` of leaf.data."""
+def numeric_grad_at(f, leaf, indices, h=STEP, points=2):
+    """Central differences of f() w.r.t. flat `indices` of leaf.data.
+
+    points=2 is the second-order stencil (f(+h) - f(-h)) / 2h; points=4 is
+    the fourth-order (8(f(+h) - f(-h)) - (f(+2h) - f(-2h))) / 12h, whose
+    truncation error is small enough at a step well above roundoff.
+    """
     flat = leaf.data.reshape(-1)
     out = np.empty(len(indices))
     for n, i in enumerate(indices):
         old = flat[i]
-        flat[i] = old + h
-        fp = f()
-        flat[i] = old - h
-        fm = f()
+
+        def at(offset):
+            flat[i] = old + offset
+            return f()
+
+        d1 = at(h) - at(-h)
+        if points == 2:
+            out[n] = d1 / (2.0 * h)
+        else:
+            out[n] = (8.0 * d1 - (at(2.0 * h) - at(-2.0 * h))) / (12.0 * h)
         flat[i] = old
-        out[n] = (fp - fm) / (2.0 * h)
     return out
 
 
-def check_grads(build, leaves, rtol=RTOL, floor=FLOOR, h=STEP, max_elems=None, rng=None, label=""):
+def check_grads(build, leaves, rtol=RTOL, floor=FLOOR, h=STEP, points=2, max_elems=None, rng=None, label=""):
     """Compare tape gradients of build() against central differences.
 
     build() must construct a fresh scalar graph from `leaves` each call.
     Checks every element of every leaf, or `max_elems` sampled elements
-    per leaf when given (sampling needs `rng`).
+    per leaf when given (sampling needs `rng`). `points` picks the
+    stencil of numeric_grad_at.
     """
     leaves = list(leaves)
     zero_grads(leaves)
@@ -52,7 +63,7 @@ def check_grads(build, leaves, rtol=RTOL, floor=FLOOR, h=STEP, max_elems=None, r
             idx = np.sort(rng.choice(n, size=max_elems, replace=False))
         else:
             idx = np.arange(n)
-        gn = numeric_grad_at(value, leaf, idx, h=h)
+        gn = numeric_grad_at(value, leaf, idx, h=h, points=points)
         gas = ga[idx]
         big = np.abs(gn) > floor
         rel = np.abs(gas[big] - gn[big]) / np.abs(gn[big])

@@ -8,6 +8,8 @@ so finite differences on them would measure a different function).
 
 import numpy as np
 
+from gradcheck import check_grads
+
 from codistill.bsd import build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
 from codistill.hfd import apply_adapter, hfd_loss_cnn, hfd_loss_vit, init_adapters
 from codistill.losses import pixel_ce
@@ -146,3 +148,18 @@ def composite_checks():
 
 
 COMPOSITE_CHECKS = composite_checks()
+
+
+def check_composites():
+    """Criterion 1's composite part: per composite and seed, three sampled
+    elements of up to three leaves against the fourth-order stencil.
+
+    At h=1e-4 its truncation error sits far below rtol, as does roundoff;
+    the two-point stencil would need a step near the roundoff floor.
+    """
+    for name, factory in COMPOSITE_CHECKS:
+        for seed in range(10):
+            build, leaves = factory(seed)
+            subset = leaves[seed % len(leaves):][:3] or leaves[:3]
+            rng = np.random.default_rng(1000 + seed)
+            check_grads(build, subset, rtol=1e-5, h=1e-4, points=4, max_elems=3, rng=rng, label=name)

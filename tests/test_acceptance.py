@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, one printed pass/fail line each.
+"""Acceptance suite: one test per criterion, one printed pass/fail line each,
+plus a test that criterion 1's composite check catches a planted error.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The end-to-end criteria
 (6, 7) train the reference task repeatedly and take several minutes.
@@ -9,7 +10,9 @@ import time
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
+from codistill import students
 from codistill.bsd import (
     DirectionMask,
     build_pixel_mask,
@@ -23,12 +26,12 @@ from codistill.data import SynthSpec, generate_dataset
 from codistill.hfd import FeatureAdapter, hfd_loss_cnn, hfd_loss_vit
 from codistill.losses import IGNORE_LABEL, cosine_distance, pixel_ce
 from codistill.students import ArchConfig, cnn_forward, init_cnn_params, init_vit_params, vit_forward
-from codistill.tensor import Tensor, log_softmax, zero_grads
+from codistill.tensor import Tensor, layer_norm, log_softmax, zero_grads
 from codistill.trainer import TrainConfig, make_train_state, run_training, total_objective
 
 from gradcheck import check_grads
 from gradsuite import OP_CHECKS
-from gradsuite_composites import COMPOSITE_CHECKS
+from gradsuite_composites import COMPOSITE_CHECKS, check_composites
 from oracles import bf_direction_mask, bf_masked_means, bf_pixel_losses, bf_region_ce
 
 
@@ -64,16 +67,24 @@ def test_criterion_1_gradient_suite():
         for seed in range(10):
             build, leaves = factory(np.random.default_rng(seed))
             check_grads(build, leaves, rtol=1e-5, label=name)
-    for name, factory in COMPOSITE_CHECKS:
-        for seed in range(10):
-            build, leaves = factory(seed)
-            subset = leaves[seed % len(leaves):][:3] or leaves[:3]
-            rng = np.random.default_rng(1000 + seed)
-            # near-optimal float64 step: the composites' curvature makes
-            # h=1e-4 truncation-limited, not gradient-limited
-            check_grads(build, subset, rtol=1e-5, h=5e-6, max_elems=3, rng=rng, label=name)
+    check_composites()
     elapsed = time.monotonic() - start
     report(1, elapsed < 60.0, f"{len(OP_CHECKS)} ops + {len(COMPOSITE_CHECKS)} composite losses x 10 seeds, rel err < 1e-5, in {elapsed:.1f}s (< 60s)")
+
+
+def test_criterion_1_composite_check_catches_planted_error(monkeypatch):
+    """The students' layer-norm backward scaled by 1 + 1e-4 must fail the composite check."""
+
+    def skewed_layer_norm(x, gain, bias):
+        out = layer_norm(x, gain, bias)
+        backward = out._backward
+        if backward is not None:
+            out._backward = lambda g: [None if pg is None else pg * (1.0 + 1e-4) for pg in backward(g)]
+        return out
+
+    monkeypatch.setattr(students, "layer_norm", skewed_layer_norm)
+    with pytest.raises(AssertionError, match="rel err"):
+        check_composites()
 
 
 def test_criterion_2_mask_oracles():
@@ -284,7 +295,7 @@ def test_criterion_9_ablation_grid(tmp_path):
     eight = len(rows) == 9
 
     vanilla_dir = tmp_path / "vanilla"
-    assert main(["train", *common, "--out", str(vanilla_dir), "--no-hfd", "--no-region-bsd", "--no-pixel-bsd"]) == 0
+    assert main(["train", *common, "--out", str(vanilla_dir), "--beta", "0", "--gamma", "0"]) == 0
     full_dir = tmp_path / "full"
     assert main(["train", *common, "--out", str(full_dir)]) == 0
     off_match = (grid_dir / "cell_hfd0_r0_p0" / "metrics.log").read_bytes() == (vanilla_dir / "metrics.log").read_bytes()

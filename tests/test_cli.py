@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codistill import recordio
+from codistill import recordio, trainer
 from codistill.cli import _KEYS, _parse_bool, _parse_ints, main, make_parser, parse_config_file, resolve_configs
 from codistill.data import load_dataset
 from codistill.errors import ConfigError
@@ -104,6 +104,10 @@ class TestGen:
         assert_exit_2(gen_args(tmp_path / "d", seed=-1), capsys, "seed")
         assert not any(tmp_path.iterdir())
 
+    def test_class_count_above_255_exits_2(self, tmp_path, capsys):
+        assert_exit_2(gen_args(tmp_path / "d") + ["--classes", "256"], capsys, "num_classes")
+        assert not any(tmp_path.iterdir())
+
     def test_class_coverage(self, tmp_path):
         out = tmp_path / "d"
         main(gen_args(out, n=40, seed=0) + ["--min-shapes", "2", "--max-shapes", "3"])
@@ -124,9 +128,10 @@ class TestTrain:
         assert float(manifest["alpha"]) == 1.0
         assert float(manifest["beta"]) == 0.1
         assert float(manifest["gamma"]) == 1.0
-        assert float(manifest["sgd_momentum"]) == 0.9
-        assert float(manifest["sgd_weight_decay"]) == 5e-4
-        assert float(manifest["adamw_weight_decay"]) == 0.01
+        # the optimizer recipe is fixed in code, not a config key
+        assert (trainer.SGD_MOMENTUM, trainer.SGD_WEIGHT_DECAY) == (0.9, 5e-4)
+        assert (trainer.ADAMW_BETA1, trainer.ADAMW_BETA2, trainer.ADAMW_EPS, trainer.ADAMW_WEIGHT_DECAY) == (0.9, 0.999, 1e-8, 0.01)
+        assert not {"sgd_momentum", "sgd_weight_decay", "adamw_beta1", "adamw_beta2", "adamw_eps", "adamw_weight_decay"} & manifest.keys()
 
     def test_one_metric_line_per_step(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
@@ -175,11 +180,8 @@ class TestTrain:
             return losses
 
         t = TrainConfig()
-        solo_c = solo_run(init_cnn_params, "init_cnn", cnn_forward, lambda p: SgdMomentum(p, t.sgd_lr, t.sgd_momentum, t.sgd_weight_decay))
-        solo_v = solo_run(
-            init_vit_params, "init_vit", vit_forward,
-            lambda p: AdamW(p, t.adamw_lr, t.adamw_beta1, t.adamw_beta2, t.adamw_eps, t.adamw_weight_decay),
-        )
+        solo_c = solo_run(init_cnn_params, "init_cnn", cnn_forward, lambda p: SgdMomentum(p, t.sgd_lr))
+        solo_v = solo_run(init_vit_params, "init_vit", vit_forward, lambda p: AdamW(p, t.adamw_lr))
         # the log stores 9 significant digits, so compare at that precision
         for record, expect_c, expect_v in zip(paired, solo_c, solo_v):
             assert record["l_ce_c"] == float(format(expect_c, ".9g"))
@@ -195,17 +197,20 @@ class TestTrain:
 
     def test_config_file_with_comments_parses(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
-        cfg.write_text("# a comment\nalpha = 0.5  # trailing comment\nsteps = 7\nhfd_on = false\n")
+        cfg.write_text("# a comment\nalpha = 0.5  # trailing comment\nsteps = 7\nregion_bsd_on = false\n")
         values = parse_config_file(cfg)
-        assert values == {"alpha": 0.5, "steps": 7, "hfd_on": False}
+        assert values == {"alpha": 0.5, "steps": 7, "region_bsd_on": False}
 
     @pytest.mark.parametrize(
         "text, match",
         [
             ("alpha = 0.5\nsteps = abc\n", r"bad.cfg:2: .*'steps'"),
-            ("hfd_on = maybe\n", r"bad.cfg:1: .*'hfd_on'"),
+            ("region_bsd_on = maybe\n", r"bad.cfg:1: .*'region_bsd_on'"),
             ("cnn_channels = 8,x,24\n", r"bad.cfg:1: .*'cnn_channels'"),
             ("input_size = 64\n", r"bad.cfg:1: unknown config key 'input_size'"),
+            # keys of manifests written before the optimizer recipe and two toggles became fixed
+            ("hfd_on = True\n", r"bad.cfg:1: unknown config key 'hfd_on'"),
+            ("alpha = 1.0\nsgd_momentum = 0.9\n", r"bad.cfg:2: unknown config key 'sgd_momentum'"),
             (None, "cannot read config file .*bad.cfg"),
         ],
     )
@@ -227,7 +232,7 @@ class TestTrain:
 
     def test_manifest_is_a_config_reproducing_the_run(self, dataset_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(train_args(dataset_dir, a, extra=["--alpha", "0.7", "--no-hfd", "--adamw-lr", "3e-4"])) == 0
+        assert main(train_args(dataset_dir, a, extra=["--alpha", "0.7", "--beta", "0", "--adamw-lr", "3e-4"])) == 0
         assert main(["train", "--data", str(dataset_dir), "--out", str(b), "--config", str(a / "manifest.txt")]) == 0
         assert (a / "metrics.log").read_bytes() == (b / "metrics.log").read_bytes()
         body = [line for line in (b / "manifest.txt").read_text().splitlines() if not line.startswith("#")]
@@ -259,9 +264,7 @@ class TestTrain:
         """Every config key, in manifest order, with the parser its value goes through."""
         expected = [
             ("alpha", float), ("beta", float), ("gamma", float), ("steps", int), ("batch_size", int), ("seed", int),
-            ("sgd_lr", float), ("sgd_momentum", float), ("sgd_weight_decay", float),
-            ("adamw_lr", float), ("adamw_beta1", float), ("adamw_beta2", float), ("adamw_eps", float), ("adamw_weight_decay", float),
-            ("hfd_on", _parse_bool), ("region_bsd_on", _parse_bool), ("pixel_bsd_on", _parse_bool),
+            ("sgd_lr", float), ("adamw_lr", float), ("region_bsd_on", _parse_bool),
             ("eval_every", int), ("checkpoint_every", int),
             ("num_classes", int), ("cnn_channels", _parse_ints), ("vit_dims", _parse_ints),
             ("patch_size", int), ("num_heads", int), ("ffn_ratio", int),
@@ -355,10 +358,11 @@ class TestAblate:
         rows = [line.split("\t") for line in table[1:]]
         assert [r[:3] for r in rows] == [[str(int(h)), str(int(g)), str(int(p))] for h in (0, 1) for g in (0, 1) for p in (0, 1)]
         assert float(rows[0][5]) == 0.0  # all-off delta
-        assert "hfd_on = False" in (out / "cell_hfd0_r0_p0" / "manifest.txt").read_text()
+        off = (out / "cell_hfd0_r0_p0" / "manifest.txt").read_text().splitlines()
+        assert {"alpha = 0.0", "beta = 0.0", "region_bsd_on = False"} <= set(off)
 
         # all-off and all-on cells equal fresh cmd_train runs, bitwise
-        for toggles, cell in ((["--no-hfd", "--no-region-bsd", "--no-pixel-bsd"], "cell_hfd0_r0_p0"), ([], "cell_hfd1_r1_p1")):
+        for toggles, cell in ((["--beta", "0", "--gamma", "0"], "cell_hfd0_r0_p0"), ([], "cell_hfd1_r1_p1")):
             ref = tmp_path / f"ref_{cell}"
             assert main(train_args(dataset_dir, ref, steps=4, seed=5, extra=toggles)) == 0
             assert (out / cell / "metrics.log").read_bytes() == (ref / "metrics.log").read_bytes()
@@ -413,6 +417,13 @@ class TestOsErrors:
         (tmp_path / "taken").write_text("")
         assert_exit_2(gen_args(tmp_path / "taken" / "set", n=1), capsys, "taken")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    @pytest.mark.parametrize("taken, every", [("metrics.log", "0"), ("ckpt_000001.bin", "1")])
+    def test_run_output_is_a_directory(self, dataset_dir, tmp_path, capsys, taken, every):
+        out = tmp_path / "run"
+        (out / taken).mkdir(parents=True)
+        assert_exit_2(train_args(dataset_dir, out, steps=1, extra=["--checkpoint-every", every]), capsys, taken)
+        assert not list(out.glob("*.tmp"))
 
     def test_train_data_is_a_directory(self, tmp_path, capsys):
         (tmp_path / "old_records").mkdir()

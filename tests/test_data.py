@@ -63,6 +63,14 @@ class TestGeneration:
         with pytest.raises(ConfigError):
             generate_dataset(SynthSpec(), 0)
 
+    def test_class_count_bounded_by_ignore_label(self):
+        """Labels are uint8 and 255 is the ignore label, so 255 classes is the most a set can hold."""
+        with pytest.raises(ConfigError, match="num_classes"):
+            SynthSpec(num_classes=IGNORE_LABEL + 1)
+        spec = SynthSpec(height=8, width=8, num_classes=IGNORE_LABEL, min_shapes=4, max_shapes=4, seed=2)
+        for _, labels in generate_dataset(spec, 20):
+            assert labels.dtype == np.uint8 and labels.max() < IGNORE_LABEL
+
 
 class TestRecords:
     def test_roundtrip_byte_exact(self, tmp_path):

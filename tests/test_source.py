@@ -35,6 +35,23 @@ def test_every_top_level_function_and_class_has_a_program_caller():
     assert NO_CALLER_YET <= {node.name for _, node in defs}, "an allowed exception no longer exists"
 
 
+def test_every_method_and_property_has_a_program_reference():
+    """A non-dunder method or property of a package class is read as an attribute somewhere in the package."""
+    trees = [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in sorted(SRC.glob("*.py"))]
+    attributes = {n.attr for _, tree in trees for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    unreferenced = [
+        f"{module}:{item.lineno} {cls.name}.{item.name}"
+        for module, tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef)
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+        and item.name not in attributes
+    ]
+    assert not unreferenced, "no attribute reference inside src/codistill: " + ", ".join(unreferenced)
+
+
 def test_only_recordio_imports_struct():
     """One module owns the binary on-disk format."""
     importers = set()

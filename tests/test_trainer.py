@@ -207,11 +207,8 @@ class TestTrainStep:
         sample = generate_dataset(SPEC, 1)
         tcfg = micro_tcfg(steps=1, batch_size=1)
         state = make_train_state(MICRO, tcfg)
-        state.opt_c = SgdMomentum(list(state.params_c.items()) + state.adapters.cnn_side(), 0.0, tcfg.sgd_momentum, tcfg.sgd_weight_decay)
-        state.opt_v = AdamW(
-            list(state.params_v.items()) + state.adapters.vit_side(),
-            0.0, tcfg.adamw_beta1, tcfg.adamw_beta2, tcfg.adamw_eps, tcfg.adamw_weight_decay,
-        )
+        state.opt_c = SgdMomentum(list(state.params_c.items()) + state.adapters.cnn_side(), 0.0)
+        state.opt_v = AdamW(list(state.params_v.items()) + state.adapters.vit_side(), 0.0)
         before = {k: p.data.copy() for k, p in state.params_c.items()}
         losses = []
         for _ in range(3):
@@ -241,7 +238,7 @@ class TestTrainStep:
         grads = {k: p.grad.copy() for k, p in replica.params_c.items()}
 
         train_step(batch, state, tcfg)
-        lr, mu, wd = tcfg.sgd_lr, tcfg.sgd_momentum, tcfg.sgd_weight_decay
+        lr, mu, wd = tcfg.sgd_lr, trainer.SGD_MOMENTUM, trainer.SGD_WEIGHT_DECAY
         for k in before:
             v = grads[k] + wd * before[k]  # first step: velocity buffer starts at 0
             np.testing.assert_allclose(state.params_c[k].data, before[k] - lr * v, rtol=1e-12)
@@ -265,9 +262,7 @@ class TestTrainStep:
 
     def test_toggle_off_equals_weight_zero_bitwise(self, dataset):
         pairs = [
-            (dict(hfd_on=False), dict(beta=0.0)),
-            (dict(pixel_bsd_on=False), dict(alpha=0.0)),
-            (dict(region_bsd_on=False, pixel_bsd_on=False), dict(gamma=0.0)),
+            (dict(region_bsd_on=False, alpha=0.0), dict(gamma=0.0)),
         ]
         for off_kw, zero_kw in pairs:
             runs = []
@@ -510,7 +505,7 @@ class TestConfigValidation:
             dict(alpha=-0.1),
             dict(sgd_lr=0.0),
             dict(adamw_lr=-1.0),
-            dict(sgd_momentum=1.0),
+            dict(checkpoint_every=-1),
             dict(eval_every=0),
         ],
     )
@@ -523,8 +518,8 @@ class TestConfigValidation:
         [
             (dict(alpha=float("nan")), "alpha"),
             (dict(gamma=float("inf")), "gamma"),
-            (dict(sgd_weight_decay=float("nan")), "sgd_weight_decay"),
-            (dict(adamw_eps=float("inf")), "adamw_eps"),
+            (dict(beta=float("nan")), "beta"),
+            (dict(sgd_lr=float("inf")), "sgd_lr"),
             (dict(adamw_lr=float("-inf")), "adamw_lr"),
         ],
     )
