@@ -96,7 +96,7 @@ def build_tag() -> str:
         )
         if out.returncode == 0 and out.stdout.strip():
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return f"codistill-{__version__}"
 

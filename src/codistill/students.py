@@ -274,6 +274,6 @@ def vit_forward(x: Tensor, params: StudentParams, cfg: ArchConfig) -> StudentOut
     f2 = vit_second_stage(f1, params, cfg)
     merged = conv2d(f2, params["down3_w"], stride=2) + _chan_bias(params["down3_b"])
     fl = _attn_stage(merged, params, 3, cfg)
-    upsampled = bilinear_upsample(fl, cfg.input_hw)
-    logits = conv2d(upsampled, params["head_w"]) + _chan_bias(params["head_b"])
-    return StudentOutputs(prediction=logits, f1=f1, f2=f2, fl=fl)
+    # the 1×1 head runs on the last-stage grid before the upsample, as in the CNN
+    logits = conv2d(fl, params["head_w"]) + _chan_bias(params["head_b"])
+    return StudentOutputs(prediction=bilinear_upsample(logits, cfg.input_hw), f1=f1, f2=f2, fl=fl)

@@ -467,39 +467,44 @@ def attention(q, k, v):
 
     q, k and v share their leading axes; k and v share T, q and k share d.
     Forward and backward loop over images: every leading index but the
-    last (the heads axis), so one image's weights for all heads are built
-    and consumed while they sit in cache, from views of q, k and v. The
-    T×T weights P are built in place in their slot of one saved buffer.
-    The backward needs no second full T×T array: with the output O,
-    rowsum(dP ⊙ P) = rowsum(dO ⊙ O), so dS = (dO vᵀ − rowsum(dO ⊙ O)) ⊙ P.
+    last (the heads axis), so one image's T×T block for all heads is built
+    and consumed while it sits in cache, from views of q, k and v. The
+    block E = exp(S − rowmax S) is built in place in its slot of one saved
+    buffer, and its row sums s are kept as a (..., T, 1) array. The output
+    is normalised after the product, O = (E v) / s, so no T×T divide is
+    made. The backward takes g′ = dO / s one image at a time; then
+    dv = Eᵀ g′ and dS = (g′ vᵀ − rowsum(g′ ⊙ O)) ⊙ E, which equal
+    Pᵀ dO and (dO vᵀ − rowsum(dO ⊙ O)) ⊙ P for the weights P = E / s.
     """
     q, k, v = _lift(q), _lift(k), _lift(v)
     if q.ndim < 2 or k.ndim != q.ndim or k.shape[:-1] != v.shape[:-1] or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention needs q (...,T,d), k (...,S,d), v (...,S,e); got {tuple(q.shape)}, {tuple(k.shape)}, {tuple(v.shape)}")
     images = list(np.ndindex(q.shape[:-3]))
     kt, vt = np.swapaxes(k.data, -1, -2), np.swapaxes(v.data, -1, -2)
-    p = np.empty((*q.shape[:-1], k.shape[-2]))
+    e = np.empty((*q.shape[:-1], k.shape[-2]))
+    s = np.empty((*q.shape[:-1], 1))
     out = np.empty((*q.shape[:-1], v.shape[-1]))
     for i in images:
-        pi = np.matmul(q.data[i], kt[i], out=p[i])
-        pi -= pi.max(axis=-1, keepdims=True)
-        np.exp(pi, out=pi)
-        pi /= pi.sum(axis=-1, keepdims=True)
-        np.matmul(pi, v.data[i], out=out[i])
+        ei = np.matmul(q.data[i], kt[i], out=e[i])
+        ei -= ei.max(axis=-1, keepdims=True)
+        np.exp(ei, out=ei)
+        ei.sum(axis=-1, keepdims=True, out=s[i])
+        np.matmul(ei, v.data[i], out=out[i])
+        out[i] /= s[i]
 
     def backward(g):
         gq = np.empty(q.shape) if q.requires_grad else None
         gk = np.empty(k.shape) if k.requires_grad else None
         gv = np.empty(v.shape) if v.requires_grad else None
-        rows = (g * out).sum(axis=-1, keepdims=True)
         for i in images:
+            gi = g[i] / s[i]
             if gv is not None:
-                np.matmul(np.swapaxes(p[i], -1, -2), g[i], out=gv[i])
+                np.matmul(np.swapaxes(e[i], -1, -2), gi, out=gv[i])
             if gq is None and gk is None:
                 continue
-            ds = g[i] @ vt[i]
-            ds -= rows[i]
-            ds *= p[i]
+            ds = gi @ vt[i]
+            ds -= (gi * out[i]).sum(axis=-1, keepdims=True)
+            ds *= e[i]
             if gq is not None:
                 np.matmul(ds, k.data[i], out=gq[i])
             if gk is not None:

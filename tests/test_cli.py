@@ -1,9 +1,11 @@
 import shlex
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import codistill
 from codistill import recordio, trainer
 from codistill.cli import _KEYS, _parse_bool, _parse_ints, main, make_parser, parse_config_file, resolve_configs
 from codistill.data import load_dataset
@@ -132,6 +134,15 @@ class TestTrain:
         assert (trainer.SGD_MOMENTUM, trainer.SGD_WEIGHT_DECAY) == (0.9, 5e-4)
         assert (trainer.ADAMW_BETA1, trainer.ADAMW_BETA2, trainer.ADAMW_EPS, trainer.ADAMW_WEIGHT_DECAY) == (0.9, 0.999, 1e-8, 0.01)
         assert not {"sgd_momentum", "sgd_weight_decay", "adamw_beta1", "adamw_beta2", "adamw_eps", "adamw_weight_decay"} & manifest.keys()
+
+    def test_git_describe_timeout_falls_back_to_version_tag(self, dataset_dir, tmp_path, monkeypatch):
+        def time_out(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        monkeypatch.setattr(subprocess, "run", time_out)
+        out = tmp_path / "run"
+        assert main(train_args(dataset_dir, out, steps=1)) == 0
+        assert f"# build_tag = codistill-{codistill.__version__}" in (out / "manifest.txt").read_text().splitlines()
 
     def test_one_metric_line_per_step(self, dataset_dir, tmp_path):
         out = tmp_path / "run"

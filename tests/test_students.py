@@ -17,7 +17,7 @@ from codistill.students import (
     vit_forward,
     vit_second_stage,
 )
-from codistill.tensor import ShapeError, Tensor, log_softmax
+from codistill.tensor import ShapeError, Tensor, bilinear_upsample, log_softmax
 
 from gradcheck import check_grads
 
@@ -113,6 +113,17 @@ class TestVitForward:
             return pixel_ce(log_softmax(vit_forward(x, params, MICRO).prediction, axis=-3), labels)[0]
 
         check_grads(build, params.values(), rtol=1e-4, max_elems=3, rng=rng, label="vit_ce")
+
+    def test_head_before_upsample_matches_head_after(self, default_pair):
+        # the 1×1 head is linear and each interpolation row sums to 1, so
+        # running it on the 4×4 grid is exact in reals; logits near zero come
+        # out of cancelling sums, so they are bounded relative to the largest logit
+        _, params_v = default_pair
+        out = vit_forward(Tensor(np.random.default_rng(5).standard_normal((8, 3, 32, 32))), params_v, DEFAULT)
+        upsampled = bilinear_upsample(Tensor(out.fl.data), DEFAULT.input_hw).data
+        head_w, head_b = params_v["head_w"].data[:, :, 0, 0], params_v["head_b"].data
+        want = np.einsum("kc,nchw->nkhw", head_w, upsampled) + head_b[:, None, None]
+        np.testing.assert_allclose(out.prediction.data, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestAttention:

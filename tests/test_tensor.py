@@ -86,30 +86,58 @@ class TestSoftmax:
 
 
 def _attention_oracle(q, k, v, g):
-    """Plain-numpy softmax(q kᵀ) v and its whole-array backward for output gradient g."""
-    s = q @ np.swapaxes(k, -1, -2)
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    p = s / s.sum(axis=-1, keepdims=True)
-    out = p @ v
-    ds = (g @ np.swapaxes(v, -1, -2) - (g * out).sum(axis=-1, keepdims=True)) * p
-    return out, (ds @ k, np.swapaxes(ds, -1, -2) @ q, np.swapaxes(p, -1, -2) @ g)
+    """Plain-numpy softmax(q kᵀ) v, normalised after the product, and its whole-array backward for output gradient g."""
+    e = q @ np.swapaxes(k, -1, -2)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    s = e.sum(axis=-1, keepdims=True)
+    out = (e @ v) / s
+    gp = g / s
+    ds = (gp @ np.swapaxes(v, -1, -2) - (gp * out).sum(axis=-1, keepdims=True)) * e
+    return out, (ds @ k, np.swapaxes(ds, -1, -2) @ q, np.swapaxes(e, -1, -2) @ gp)
+
+
+def _softmax_weights_reference(q, k, v, g):
+    """The textbook form: weights P = E / rowsum(E), out = P v, dS = (g vᵀ − rowsum(dP ⊙ P)) ⊙ P."""
+    sc = q @ np.swapaxes(k, -1, -2)
+    e = np.exp(sc - sc.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    dp = g @ np.swapaxes(v, -1, -2)
+    ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
+    return p @ v, (ds @ k, np.swapaxes(ds, -1, -2) @ q, np.swapaxes(p, -1, -2) @ g)
 
 
 class TestAttention:
     """One node for softmax(q kᵀ) v, checked against plain numpy."""
 
-    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["single", "batch", "batch_heads"])
-    def test_matches_numpy_oracle(self, lead):
+    @staticmethod
+    def _case(lead):
         rng = np.random.default_rng(14)
         q, k = rng.standard_normal((*lead, 7, 3)) * 2, rng.standard_normal((*lead, 6, 3)) * 2
         v, g = rng.standard_normal((*lead, 6, 4)), rng.standard_normal((*lead, 7, 4))
+        return q, k, v, g
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["single", "batch", "batch_heads"])
+    def test_matches_numpy_oracle(self, lead):
+        q, k, v, g = self._case(lead)
         want, want_grads = _attention_oracle(q, k, v, g)
         out = T.attention(*(Tensor(t, requires_grad=True) for t in (q, k, v)))
         np.testing.assert_array_equal(out.data, want)
         # slice by slice in the op, whole-array here: the same products per slice
         for got, ref in zip(out._backward(g), want_grads):
             np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["single", "batch", "batch_heads"])
+    def test_matches_softmax_weights_form(self, lead):
+        # normalising after P·V reorders the arithmetic; in reals it is the softmax
+        q, k, v, g = self._case(lead)
+        want, want_grads = _softmax_weights_reference(q, k, v, g)
+        out = T.attention(*(Tensor(t, requires_grad=True) for t in (q, k, v)))
+        np.testing.assert_allclose(out.data, want, rtol=1e-12)
+        # gradient entries near zero come out of cancelling sums: bound them
+        # relative to the largest entry of their array
+        for got, ref in zip(out._backward(g), want_grads):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_shape_mismatch_names_all_shapes(self):
         with pytest.raises(ShapeError, match=r"\(4, 3\).*\(5, 2\).*\(5, 2\)"):
