@@ -1,8 +1,8 @@
 """Command-line interface: gen, train, eval, ablate, sweep.
 
 Exit codes: 0 success, 2 usage, configuration, input or output problem, 3 numeric
-failure during training. Every command's outputs are reproducible from
-its arguments and seed.
+failure during training, 130 interrupted (Ctrl-C). Every command's outputs
+are reproducible from its arguments and seed.
 """
 
 from __future__ import annotations
@@ -291,6 +291,9 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

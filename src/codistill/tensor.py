@@ -1,9 +1,14 @@
 """Dense float64 tensors with a dynamic reverse-mode autodiff tape.
 
-Every op records its parent tensors and a closure mapping the output
-gradient to parent gradients; ``backward()`` on a scalar replays the
-recorded graph in reverse topological order. Ops whose inputs are all
-untracked record nothing, so constant subgraphs cost no backward work.
+Every op on a tracked input records a data-free node: its parents' nodes
+(or the tensors themselves, for leaves and constants) and a closure
+mapping the output gradient to parent gradients that keeps only what its
+formula reads (arrays, shapes, flags; never a tensor), so an interior
+array no closure reads dies with its tensor. ``backward()`` on a scalar
+replays the graph in reverse topological order and consumes it: each node
+drops its parents and closure as it runs, and a second backward through
+it raises ``GraphError``. Ops whose inputs are all untracked record
+nothing, so constant subgraphs cost no backward work.
 
 Conventions: row-major float64 everywhere, tensors are treated as
 immutable once produced by an op. ``backward()`` sets ``.grad`` on tracked
@@ -18,10 +23,42 @@ would be discarded. Ops take optional leading batch axes.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap_mapped() -> None:
+    """Fix glibc's heap thresholds so a step's memory stays mapped.
+
+    ``backward()`` frees most of a step's arrays while it runs, so by the
+    optimizer step the heap top is free unless one of the step's few
+    long-lived arrays (parameters, optimizer state, leaf gradients) landed
+    there, which varies from run to run. With glibc's dynamic trim
+    threshold, a free top is handed back to the OS and the next step faults
+    ~10 MiB of pages back in; this happened in some steps of some runs and
+    not others (30k to 83k extra page faults over 300 default steps), so
+    step times varied with it. A fixed trim threshold keeps the heap at its
+    peak, which the peak RSS already counts, and a fixed mmap threshold of
+    32 MiB (glibc's largest) keeps every array of a step on that heap.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_keep_heap_mapped()
 
 
 class ShapeError(ValueError):
@@ -36,15 +73,40 @@ def _as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _consumed(g):
+    raise GraphError("backward() through a graph that an earlier backward() consumed")
+
+
+class _Node:
+    """One recorded op: parent nodes (or leaf tensors) and its backward closure."""
+
+    __slots__ = ("_parents", "_backward")
+
+    def __init__(self, parents, backward):
+        self._parents = parents
+        self._backward = backward
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_f64(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._node = None
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, backward):
+        self._node._backward = backward
 
     @property
     def shape(self):
@@ -75,13 +137,15 @@ class Tensor:
         consumed it, then it is dropped, so a step never holds the
         gradients of the whole graph at once. Closures never write into
         the gradient they receive: ``add`` and ``reshape`` hand one array
-        to several parents.
+        to several parents. Each node gives up its parents and closure as
+        it runs, which frees what the closure kept.
         """
         if self.data.size != 1:
             raise GraphError(f"backward() needs a scalar loss, got shape {self.shape}")
+        root = self._node or self
         topo = []
-        seen = {id(self)}
-        stack = [(self, iter(self._parents))]
+        seen = {id(root)}
+        stack = [(root, iter(root._parents))]
         while stack:
             node, it = stack[-1]
             child = next(it, None)
@@ -91,17 +155,20 @@ class Tensor:
             elif id(child) not in seen:
                 seen.add(id(child))
                 stack.append((child, iter(child._parents)))
-        grads = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        grads = {id(root): np.ones_like(self.data)}
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node._backward is None:
-                if node.requires_grad:
+            if isinstance(node, Tensor):
+                if g is not None and node.requires_grad:
                     node.grad = g if node.grad is None else node.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
+            parents, backward = node._parents, node._backward
+            node._parents, node._backward = (), _consumed
+            if g is None:
+                continue
+            for parent, pg in zip(parents, backward(g)):
+                if pg is None:
                     continue
                 pid = id(parent)
                 held = grads.get(pid)
@@ -155,9 +222,13 @@ def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = _Node(tuple(p._node or p for p in parents), backward)
     return out
+
+
+def _shape_if_tracked(t: Tensor):
+    """t's shape when t takes a gradient, else None: what most closures keep of an operand."""
+    return t.shape if t.requires_grad else None
 
 
 def zero_grads(tensors) -> None:
@@ -178,15 +249,24 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+def _empty_in_layout(shape, strides) -> np.ndarray:
+    """What np.empty_like gives for an array of this shape and strides,
+    without holding that array: axes are laid out by decreasing |stride|,
+    ties in axis order."""
+    order = sorted(range(len(shape)), key=lambda a: -abs(strides[a]))
+    return np.empty([shape[a] for a in order]).transpose(np.argsort(order))
+
+
 # elementwise arithmetic (numpy broadcasting rules) -------------------
 
 def add(a, b):
     a, b = _lift(a), _lift(b)
+    sa, sb = _shape_if_tracked(a), _shape_if_tracked(b)
 
     def backward(g):
         return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
+            None if sa is None else _unbroadcast(g, sa),
+            None if sb is None else _unbroadcast(g, sb),
         )
 
     return _make(a.data + b.data, (a, b), backward)
@@ -194,11 +274,12 @@ def add(a, b):
 
 def sub(a, b):
     a, b = _lift(a), _lift(b)
+    sa, sb = _shape_if_tracked(a), _shape_if_tracked(b)
 
     def backward(g):
         return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+            None if sa is None else _unbroadcast(g, sa),
+            None if sb is None else _unbroadcast(-g, sb),
         )
 
     return _make(a.data - b.data, (a, b), backward)
@@ -206,11 +287,15 @@ def sub(a, b):
 
 def mul(a, b):
     a, b = _lift(a), _lift(b)
+    sa, sb = _shape_if_tracked(a), _shape_if_tracked(b)
+    # each gradient reads the partner's data: keep it only for a tracked operand
+    ad = None if sb is None else a.data
+    bd = None if sa is None else b.data
 
     def backward(g):
         return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+            None if sa is None else _unbroadcast(g * bd, sa),
+            None if sb is None else _unbroadcast(g * ad, sb),
         )
 
     return _make(a.data * b.data, (a, b), backward)
@@ -218,10 +303,13 @@ def mul(a, b):
 
 def div(a, b):
     a, b = _lift(a), _lift(b)
+    sa, sb = _shape_if_tracked(a), _shape_if_tracked(b)
+    ad = None if sb is None else a.data
+    bd = b.data  # both gradients read it
 
     def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
+        ga = None if sa is None else _unbroadcast(g / bd, sa)
+        gb = None if sb is None else _unbroadcast(-g * ad / (bd * bd), sb)
         return ga, gb
 
     return _make(a.data / b.data, (a, b), backward)
@@ -239,11 +327,13 @@ def exp(x):
 
 def relu(x):
     x = _lift(x)
+    out = np.maximum(x.data, 0.0)
 
     def backward(g):
-        return (g * (x.data > 0.0),)
+        # out > 0 exactly where x > 0 (NaN propagates, and is > 0 in neither)
+        return (g * (out > 0.0),)
 
-    return _make(np.maximum(x.data, 0.0), (x,), backward)
+    return _make(out, (x,), backward)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -297,17 +387,18 @@ def _norm_axes(axis, ndim):
     return tuple(a % ndim for a in axis)
 
 
-def _kept(x, axes):
-    """x's shape with the reduced axes kept at length 1."""
-    return [1 if a in axes else n for a, n in enumerate(x.shape)]
+def _kept(shape, axes):
+    """shape with the reduced axes kept at length 1."""
+    return [1 if a in axes else n for a, n in enumerate(shape)]
 
 
 def tsum(x, axis=None):
     x = _lift(x)
     axes = _norm_axes(axis, x.ndim)
+    shape = x.shape
 
     def backward(g):
-        return (np.broadcast_to(g.reshape(_kept(x, axes)), x.shape),)
+        return (np.broadcast_to(g.reshape(_kept(shape, axes)), shape),)
 
     return _make(x.data.sum(axis=axes), (x,), backward)
 
@@ -315,10 +406,11 @@ def tsum(x, axis=None):
 def tmean(x, axis=None):
     x = _lift(x)
     axes = _norm_axes(axis, x.ndim)
-    count = math.prod(x.shape[a] for a in axes)
+    shape = x.shape
+    count = math.prod(shape[a] for a in axes)
 
     def backward(g):
-        return (np.broadcast_to(g.reshape(_kept(x, axes)) / count, x.shape),)
+        return (np.broadcast_to(g.reshape(_kept(shape, axes)) / count, shape),)
 
     return _make(x.data.mean(axis=axes), (x,), backward)
 
@@ -327,10 +419,11 @@ def l2_norm(x, axis):
     """Euclidean norm along one axis; zero vectors get zero gradient."""
     x = _lift(x)
     ax = axis % x.ndim
-    n = np.sqrt((x.data * x.data).sum(axis=ax))
+    xd = x.data
+    n = np.sqrt((xd * xd).sum(axis=ax))
 
     def backward(g):
-        return (np.expand_dims(g, ax) * x.data / np.maximum(np.expand_dims(n, ax), 1e-12),)
+        return (np.expand_dims(g, ax) * xd / np.maximum(np.expand_dims(n, ax), 1e-12),)
 
     return _make(n, (x,), backward)
 
@@ -339,9 +432,10 @@ def l2_norm(x, axis):
 
 def reshape(x, shape):
     x = _lift(x)
+    in_shape = x.shape
 
     def backward(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(in_shape),)
 
     return _make(x.data.reshape(shape), (x,), backward)
 
@@ -368,10 +462,13 @@ def matmul(a, b):
     if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul needs (...,m,k)@(k,n); got {tuple(a.shape)} and {tuple(b.shape)}")
 
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+
     def backward(g):
-        ga = g @ b.data.T if a.requires_grad else None
+        ga = None if bd is None else g @ bd.T
         # one GEMM over every leading row instead of a stack of them
-        gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if b.requires_grad else None
+        gb = None if ad is None else ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         return ga, gb
 
     return _make(a.data @ b.data, (a, b), backward)
@@ -417,25 +514,28 @@ def conv2d(x, w, stride=1, padding=0):
     n = cols.shape[0]
     wm = w.data.reshape(c_out, -1)
     data = (wm @ cols).reshape(*lead, c_out, h_out, w_out)
+    # backward reads the columns for gw, and the kernel and x's shape and layout for gx
+    cols = cols if w.requires_grad else None
+    x_shape, x_strides = (x.shape, x.data.strides) if x.requires_grad else (None, None)
 
     def backward(g):
         gm = g.reshape(n, c_out, h_out * w_out)
-        gw = np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(w.shape) if w.requires_grad else None
-        if not x.requires_grad:
+        gw = None if cols is None else np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(c_out, c_in, k, k)
+        if x_shape is None:
             return None, gw
         gcols = (wm.T @ gm).reshape(n, c_in, k, k, h_out, w_out)
         if tile:
             # gx keeps x's memory layout: downstream reductions depend on strides
-            gx = np.empty_like(x.data)
+            gx = _empty_in_layout(x_shape, x_strides)
             dst = gx.reshape(*lead, c_in, h_out, k, w_out, k)  # only splits axes, so a view of gx
             np.copyto(dst, gcols.reshape(*lead, c_in, k, k, h_out, w_out).transpose(*range(nl), nl, nl + 3, nl + 1, nl + 4, nl + 2))
             return gx, gw
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros((n, c_in, h + 2 * padding, wid + 2 * padding))  # the padded input's shape
         for i in range(k):
             for j in range(k):
                 gxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += gcols[:, :, i, j]
         gx = gxp[:, :, padding : padding + h, padding : padding + wid] if padding else gxp
-        return gx.reshape(x.shape), gw
+        return gx.reshape(x_shape), gw
 
     return _make(data, (x, w), backward)
 
@@ -452,10 +552,11 @@ def avg_pool2d(x, k):
         raise ShapeError(f"avg_pool2d windows (k={k}) do not tile input {tuple(x.shape)}")
     win = sliding_window_view(x.data, (k, k), axis=(-2, -1))[..., ::k, ::k, :, :]
     data = win.mean(axis=(-2, -1))
+    shape = x.shape
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        tiles = gx.reshape(*x.shape[:-2], h // k, k, wid // k, k)  # only splits axes, so a view of gx
+        gx = np.zeros(shape)
+        tiles = gx.reshape(*shape[:-2], h // k, k, wid // k, k)  # only splits axes, so a view of gx
         tiles += (g / (k * k))[..., :, None, :, None]
         return (gx,)
 
@@ -480,7 +581,7 @@ def attention(q, k, v):
     if q.ndim < 2 or k.ndim != q.ndim or k.shape[:-1] != v.shape[:-1] or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention needs q (...,T,d), k (...,S,d), v (...,S,e); got {tuple(q.shape)}, {tuple(k.shape)}, {tuple(v.shape)}")
     images = list(np.ndindex(q.shape[:-3]))
-    kt, vt = np.swapaxes(k.data, -1, -2), np.swapaxes(v.data, -1, -2)
+    kt = np.swapaxes(k.data, -1, -2)
     e = np.empty((*q.shape[:-1], k.shape[-2]))
     s = np.empty((*q.shape[:-1], 1))
     out = np.empty((*q.shape[:-1], v.shape[-1]))
@@ -491,11 +592,16 @@ def attention(q, k, v):
         ei.sum(axis=-1, keepdims=True, out=s[i])
         np.matmul(ei, v.data[i], out=out[i])
         out[i] /= s[i]
+    sq, sk, sv = _shape_if_tracked(q), _shape_if_tracked(k), _shape_if_tracked(v)
+    # dS reads v, gq reads k and gk reads q
+    vt = None if sq is None and sk is None else np.swapaxes(v.data, -1, -2)
+    kd = None if sq is None else k.data
+    qd = None if sk is None else q.data
 
     def backward(g):
-        gq = np.empty(q.shape) if q.requires_grad else None
-        gk = np.empty(k.shape) if k.requires_grad else None
-        gv = np.empty(v.shape) if v.requires_grad else None
+        gq = None if sq is None else np.empty(sq)
+        gk = None if sk is None else np.empty(sk)
+        gv = None if sv is None else np.empty(sv)
         for i in images:
             gi = g[i] / s[i]
             if gv is not None:
@@ -506,9 +612,9 @@ def attention(q, k, v):
             ds -= (gi * out[i]).sum(axis=-1, keepdims=True)
             ds *= e[i]
             if gq is not None:
-                np.matmul(ds, k.data[i], out=gq[i])
+                np.matmul(ds, kd[i], out=gq[i])
             if gk is not None:
-                np.matmul(np.swapaxes(ds, -1, -2), q.data[i], out=gk[i])
+                np.matmul(np.swapaxes(ds, -1, -2), qd[i], out=gk[i])
         return gq, gk, gv
 
     return _make(out, (q, k, v), backward)
@@ -543,12 +649,14 @@ def layer_norm(x, gain, bias):
     np.multiply(xhat, gain.data, out=data)
     data += bias.data
     red = tuple(range(x.ndim - 1))
+    gain_data = gain.data if x.requires_grad else None  # only gx reads the gain
+    tracked_gain, tracked_bias = gain.requires_grad, bias.requires_grad
 
     def backward(g):
         # gx = r * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gain
         gx = prod = None
-        if x.requires_grad:
-            gx = g * gain.data
+        if gain_data is not None:
+            gx = g * gain_data
             m1 = gx.mean(axis=-1, keepdims=True)
             prod = gx * xhat
             m2 = prod.mean(axis=-1, keepdims=True)
@@ -556,8 +664,8 @@ def layer_norm(x, gain, bias):
             np.multiply(xhat, m2, out=prod)
             gx -= prod
             gx *= r
-        ggain = np.multiply(g, xhat, out=prod).sum(axis=red) if gain.requires_grad else None
-        gbias = g.sum(axis=red) if bias.requires_grad else None
+        ggain = np.multiply(g, xhat, out=prod).sum(axis=red) if tracked_gain else None
+        gbias = g.sum(axis=red) if tracked_bias else None
         return gx, ggain, gbias
 
     return _make(data, (x, gain, bias), backward)

@@ -90,8 +90,7 @@ class TestGen:
             return fh
 
         monkeypatch.setattr(recordio, "open", open_interrupted_midway, raising=False)
-        with pytest.raises(KeyboardInterrupt):
-            main(gen_args(out, n=5, seed=2))
+        assert main(gen_args(out, n=5, seed=2)) == 130
         assert out.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
@@ -288,6 +287,23 @@ class TestTrain:
     def test_numeric_failure_exits_3(self, dataset_dir, tmp_path):
         code = main(train_args(dataset_dir, tmp_path / "run", steps=6, extra=["--sgd-lr", "1e200"]))
         assert code == 3
+
+    def test_interrupt_exits_130_keeping_completed_steps(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        real_step = trainer.train_step
+
+        def interrupted_at_3(batch, state, tcfg):
+            if state.step == 2:
+                raise KeyboardInterrupt
+            return real_step(batch, state, tcfg)
+
+        monkeypatch.setattr(trainer, "train_step", interrupted_at_3)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(train_args(dataset_dir, out, steps=6, extra=["--checkpoint-every", "1"])) == 130
+        assert capsys.readouterr().err.splitlines() == ["interrupted"]
+        assert [r["step"] for r in read_metrics(out / "metrics.log")] == [1, 2]
+        assert sorted(p.name for p in out.glob("ckpt_*")) == ["ckpt_000001.bin", "ckpt_000002.bin"]
+        assert not list(out.glob("*.tmp"))
 
 
 class TestEval:

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import codistill
 from codistill import tensor as T
 from codistill.tensor import GraphError, ShapeError, Tensor
 
@@ -281,6 +288,53 @@ class TestBackward:
     def test_non_scalar_rejected(self):
         with pytest.raises(GraphError, match="scalar"):
             Tensor(np.zeros(3), requires_grad=True).backward()
+
+    def test_backward_consumes_the_graph(self):
+        x = Tensor(np.random.default_rng(19).standard_normal(4), requires_grad=True)
+        loss = T.relu(x * 2.0).sum()
+        assert loss._parents != ()
+        loss.backward()
+        assert loss._parents == ()
+        with pytest.raises(GraphError, match="consumed"):
+            loss.backward()
+
+    def test_unread_interior_array_dies_while_the_graph_lives(self):
+        """relu(conv2d(x, w) + b): no closure reads the pre-bias conv output."""
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((4, 1, 1)), requires_grad=True)
+        pre_bias = T.conv2d(x, w, padding=1)
+        dead = weakref.ref(pre_bias.data)
+        loss = T.relu(pre_bias + b).sum()
+        del pre_bias
+        assert dead() is None
+        loss.backward()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape and b.grad.shape == b.shape
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the heap thresholds are set for glibc")
+    def test_freed_heap_is_reused_without_page_faults(self):
+        """A step's memory, freed by backward, stays mapped for the next step.
+        With glibc's dynamic thresholds, freeing 8 MiB of 512 KiB arrays
+        after a 1 MiB one hands the heap top back to the OS, and each round
+        faults its 2016 pages in again (0 with the fixed thresholds)."""
+        # a fresh process: the thresholds move with everything freed before
+        child = (
+            "import resource\n"
+            "import numpy as np\n"
+            "import codistill.tensor\n"
+            "np.ones(2**17)\n"
+            "faults = []\n"
+            "for _ in range(3):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    arrays = [np.ones(2**16) for _ in range(16)]\n"
+            "    del arrays\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(*faults)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(codistill.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60, check=True)
+        assert max(map(int, done.stdout.split()[1:])) < 100, f"page faults per round: {done.stdout}"
 
     def test_full_composite_graph(self):
         """conv -> relu -> softmax -> cross-entropy against finite differences."""

@@ -302,16 +302,32 @@ class TestTrainStep:
         assert state.step == 0 and state.opt_v.t == 0
 
 
-def _tape_ops(loss):
-    """Op name of every recorded node reachable from a loss (leaves are not nodes)."""
-    seen, stack, ops = set(), [loss], []
+def _tape(loss):
+    """Backward closure of every recorded node reachable from a loss (leaves are not nodes)."""
+    seen, stack, closures = set(), [loss], []
     while stack:
         t = stack.pop()
         if id(t) not in seen and t._parents:
             seen.add(id(t))
-            ops.append(t._backward.__qualname__.split(".")[0])
+            closures.append(t._backward)
             stack.extend(t._parents)
-    return ops
+    return closures
+
+
+def _default_step_tape(monkeypatch, **kw):
+    """The tape of one default batch-8 step, walked inside the objective, before backward consumes it."""
+    closures = []
+
+    def capture(*args):
+        out = total_objective(*args)
+        for loss in out[:2]:
+            closures.extend(_tape(loss))
+        return out
+
+    monkeypatch.setattr(trainer, "total_objective", capture)
+    tcfg = TrainConfig(**kw)
+    train_step(generate_dataset(SynthSpec(), 8), make_train_state(ArchConfig(), tcfg), tcfg)
+    return closures
 
 
 class TestTapeStructure:
@@ -320,26 +336,24 @@ class TestTapeStructure:
     @pytest.mark.parametrize("kw, nodes, attention", [({}, 231, 4), (dict(beta=0.0, gamma=0.0), 121, 3)], ids=["full", "ce_only"])
     def test_default_step_tape(self, monkeypatch, kw, nodes, attention):
         # one attention node per ViT stage, plus HFD's borrowed ViT stage 2
-        losses = []
-
-        def capture(*args):
-            out = total_objective(*args)
-            losses.extend(out[:2])
-            return out
-
-        monkeypatch.setattr(trainer, "total_objective", capture)
-        tcfg = TrainConfig(**kw)
-        train_step(generate_dataset(SynthSpec(), 8), make_train_state(ArchConfig(), tcfg), tcfg)
-        ops = [op for loss in losses for op in _tape_ops(loss)]
+        ops = [fn.__qualname__.split(".")[0] for fn in _default_step_tape(monkeypatch, **kw)]
         assert len(ops) == nodes
         assert ops.count("attention") == attention
 
-    @pytest.mark.parametrize("kw, limit_mib", [({}, 38), (dict(beta=0.0, gamma=0.0), 30)], ids=["full", "ce_only"])
+    def test_closures_hold_no_tensor(self, monkeypatch):
+        """Closures keep arrays, shapes and flags: no node keeps an operand tensor, and so its data, alive."""
+        holders = [fn.__qualname__ for fn in _default_step_tape(monkeypatch) if any(isinstance(c.cell_contents, Tensor) for c in fn.__closure__ or ())]
+        assert holders == []
+
+    @pytest.mark.parametrize("kw, limit_mib", [({}, 25), (dict(beta=0.0, gamma=0.0), 22)], ids=["full", "ce_only"])
     def test_default_step_peak_bytes(self, kw, limit_mib):
         # traced numpy bytes, not RSS: the same on every run; a step that kept
         # interior gradients measured 54.0 (full) and 42.0 (CE-only) MiB, one
         # that ran the ViT head after the upsample and divided the T×T
-        # attention weights 42.70 and 34.50, and the current step 36.25 and 28.34
+        # attention weights 42.70 and 34.50, one whose graph nodes were its
+        # output tensors, kept alive until backward returned, 36.25 and 28.34,
+        # and the current step, with data-free nodes consumed by backward,
+        # 23.38 and 20.24
         tcfg = TrainConfig(**kw)
         batch, state = generate_dataset(SynthSpec(), 8), make_train_state(ArchConfig(), tcfg)
         tracemalloc.start()
