@@ -108,11 +108,3 @@ def pixel_loss(logp_cnn: Tensor, logp_vit: Tensor, mask: DirectionMask):
     """(loss for the CNN, loss for the ViT) from one-sided per-pixel KL terms
     on the two students' class log-probabilities."""
     return _selective_pair(kl_map, logp_cnn, logp_vit, mask)
-
-
-def bsd_loss(region_pair, pixel_pair, alpha: float):
-    """Combine the region and pixel terms per student with weight alpha."""
-    lr_c, lr_v = region_pair
-    lp_c, lp_v = pixel_pair
-    return lr_c + alpha * lp_c, lr_v + alpha * lp_v
-

@@ -16,6 +16,7 @@ from pathlib import Path
 from . import __version__
 from .data import SynthSpec, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, DataError, MetricError, TrainingError
+from .losses import IGNORE_LABEL
 from .recordio import replacing
 from .students import ArchConfig
 from .trainer import TrainConfig, evaluate, load_checkpoint, run_training
@@ -52,7 +53,7 @@ def _build(cls, values, **fixed):
 _PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_ints}
 _KEYS = {key: _PARSERS[type(value)] for cfg in (TrainConfig(), ArchConfig()) for key, value in _flatten(cfg)}
 # keys that are also command-line flags; booleans become --x / --no-x
-_FLAG_KEYS = ("seed", "steps", "batch_size", "alpha", "beta", "gamma", "eval_every", "checkpoint_every", "sgd_lr", "adamw_lr", "region_bsd_on")
+_FLAG_KEYS = tuple(f.name for f in fields(TrainConfig))
 
 
 def parse_config_file(path) -> dict:
@@ -143,14 +144,26 @@ def _check_image_hw(dataset, where, hw) -> None:
         raise DataError(f"{where}: images are {h}x{w}, expected {hw[0]}x{hw[1]}")
 
 
+def _check_labels(dataset, where, num_classes) -> None:
+    for _, labels in dataset:
+        bad = labels[(labels >= num_classes) & (labels != IGNORE_LABEL)]
+        if bad.size:
+            raise DataError(f"{where}: label {bad[0]} outside [0, {num_classes}) and not the ignore label {IGNORE_LABEL}")
+
+
 def _prepare(args) -> tuple:
-    """((train set, eval set or None), ArchConfig, TrainConfig) for a training command."""
+    """((train set, eval set or None), ArchConfig, TrainConfig) for a training
+    command, with both sets checked against the configuration."""
     train_set = load_dataset(args.data)
     hw = train_set[0][0].shape[1:]
     eval_set = load_dataset(args.eval_data) if args.eval_data else None
     if eval_set is not None:
         _check_image_hw(eval_set, args.eval_data, hw)
-    return (train_set, eval_set), *resolve_configs(args, hw)
+    acfg, tcfg = resolve_configs(args, hw)
+    for dataset, path in ((train_set, args.data), (eval_set, args.eval_data)):
+        if dataset is not None:
+            _check_labels(dataset, path, acfg.num_classes)
+    return (train_set, eval_set), acfg, tcfg
 
 
 def _run_one_training(args, datasets, acfg, tcfg, out_dir):

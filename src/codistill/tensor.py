@@ -1,14 +1,15 @@
 """Dense float64 tensors with a dynamic reverse-mode autodiff tape.
 
 Every op on a tracked input records a data-free node: its parents' nodes
-(or the tensors themselves, for leaves and constants) and a closure
-mapping the output gradient to parent gradients that keeps only what its
-formula reads (arrays, shapes, flags; never a tensor), so an interior
-array no closure reads dies with its tensor. ``backward()`` on a scalar
-replays the graph in reverse topological order and consumes it: each node
-drops its parents and closure as it runs, and a second backward through
-it raises ``GraphError``. Ops whose inputs are all untracked record
-nothing, so constant subgraphs cost no backward work.
+(the tensors themselves for tracked leaves, one shared empty node for
+untracked operands) and a closure mapping the output gradient to parent
+gradients that keeps only what its formula reads (arrays, shapes, flags;
+never a tensor), so an interior array no closure reads dies with its
+tensor. ``backward()`` on a scalar replays the graph in reverse
+topological order and consumes it: each node drops its parents and
+closure as it runs, and a second backward through it raises
+``GraphError``. Ops whose inputs are all untracked record nothing, so
+constant subgraphs cost no backward work.
 
 Conventions: row-major float64 everywhere, tensors are treated as
 immutable once produced by an op. ``backward()`` sets ``.grad`` on tracked
@@ -218,11 +219,16 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# the parent recorded for every untracked operand: closures send it no
+# gradient, and recording the operand itself would keep its array alive
+_UNTRACKED = _Node((), _consumed)
+
+
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._node = _Node(tuple(p._node or p for p in parents), backward)
+        out._node = _Node(tuple(p._node or (p if p.requires_grad else _UNTRACKED) for p in parents), backward)
     return out
 
 

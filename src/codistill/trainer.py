@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsd import bsd_loss, build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
+from .bsd import build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
 from .data import miou_from_confusion, predict_labels, update_confusion
 from .errors import ConfigError, DataError, TrainingError
 from .hfd import AdapterSet, adapter_param_specs, apply_adapter, hfd_loss_cnn, hfd_loss_vit, init_adapters
@@ -75,20 +75,6 @@ class TrainConfig:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-
-    # a term with weight 0 is never assembled; region BSD alone has a toggle,
-    # because gamma scales L_r and L_p together and alpha scales only L_p
-    @property
-    def hfd_active(self):
-        return self.beta != 0.0
-
-    @property
-    def region_active(self):
-        return self.region_bsd_on and self.gamma != 0.0
-
-    @property
-    def pixel_active(self):
-        return self.gamma != 0.0 and self.alpha != 0.0
 
 
 # optimizer update rules ------------------------------------------------
@@ -156,11 +142,13 @@ class AdamW:
 def total_objective(out_c, out_v, labels, params_c, params_v, adapters: AdapterSet, acfg: ArchConfig, tcfg: TrainConfig):
     """Objectives for both students plus the logged term values.
 
+    Each student's objective is L_ce + beta * L_hfd + gamma * (L_r + alpha * L_p).
     Outputs and labels are for one image or carry a leading batch axis;
     every term is normalised per image, then averaged over the batch, and
-    the logged counts m_hat and m are batch means. Disabled or zero-weight
-    terms are never assembled, contributing exactly 0 to value and
-    gradient. Returns (loss_cnn, loss_vit, parts dict).
+    the logged counts m_hat and m are batch means. A term with weight 0 is
+    never built and logs 0; region BSD alone has a switch, region_bsd_on,
+    because gamma scales L_r and L_p together and alpha scales only L_p.
+    Returns (loss_cnn, loss_vit, parts dict).
     """
     per_batch = 1.0 / (labels.shape[0] if labels.ndim == 3 else 1)
     # one log-softmax per student feeds both the CE and the pixel KL
@@ -168,41 +156,32 @@ def total_objective(out_c, out_v, labels, params_c, params_v, adapters: AdapterS
     logp_v = log_softmax(out_v.prediction, axis=-3)
     l_ce_c, ce_map_c = pixel_ce(logp_c, labels)
     l_ce_v, ce_map_v = pixel_ce(logp_v, labels)
+    terms = {"l_ce_c": l_ce_c, "l_ce_v": l_ce_v}
     loss_c, loss_v = l_ce_c, l_ce_v
-    parts = dict.fromkeys(("l_hfd_c", "l_hfd_v", "l_r_c", "l_r_v", "l_p_c", "l_p_v", "m_hat", "m"), 0.0)
-    parts["l_ce_c"] = l_ce_c.item()
-    parts["l_ce_v"] = l_ce_v.item()
-
-    if tcfg.hfd_active:
-        l_hfd_c = hfd_loss_cnn(out_c.f1, adapters.c1, params_v, acfg, out_v.f2)
-        l_hfd_v = hfd_loss_vit(out_v.f1, adapters.v1, params_c, acfg, out_c.f2)
+    if tcfg.beta != 0.0:
+        l_hfd_c = terms["l_hfd_c"] = hfd_loss_cnn(out_c.f1, adapters.c1, params_v, acfg, out_v.f2)
+        l_hfd_v = terms["l_hfd_v"] = hfd_loss_vit(out_v.f1, adapters.v1, params_c, acfg, out_c.f2)
         loss_c = loss_c + tcfg.beta * l_hfd_c
         loss_v = loss_v + tcfg.beta * l_hfd_v
-        parts["l_hfd_c"] = l_hfd_c.item()
-        parts["l_hfd_v"] = l_hfd_v.item()
-
-    if tcfg.region_active or tcfg.pixel_active:
-        lr_pair = (Tensor(0.0), Tensor(0.0))
-        lp_pair = (Tensor(0.0), Tensor(0.0))
-        if tcfg.region_active:
-            fl_c = apply_adapter(out_c.fl, adapters.cl)
-            fl_v = apply_adapter(out_v.fl, adapters.vl)
-            region_hw = fl_c.shape[-2:]
-            region_mask = build_region_mask(region_ce(ce_map_c, region_hw), region_ce(ce_map_v, region_hw))
-            lr_pair = region_loss(fl_c, fl_v, region_mask)
-            parts["l_r_c"] = lr_pair[0].item()
-            parts["l_r_v"] = lr_pair[1].item()
-            parts["m_hat"] = float(np.sum(region_mask.count)) * per_batch
-        if tcfg.pixel_active:
-            pixel_mask = build_pixel_mask(ce_map_c, ce_map_v)
-            lp_pair = pixel_loss(logp_c, logp_v, pixel_mask)
-            parts["l_p_c"] = lp_pair[0].item()
-            parts["l_p_v"] = lp_pair[1].item()
-            parts["m"] = float(np.sum(pixel_mask.count)) * per_batch
-        l_bsd_c, l_bsd_v = bsd_loss(lr_pair, lp_pair, tcfg.alpha)
+    # the selective sum L_r + alpha * L_p leaves out a grain that is off
+    l_bsd_c = l_bsd_v = None
+    if tcfg.gamma != 0.0 and tcfg.region_bsd_on:
+        fl_c = apply_adapter(out_c.fl, adapters.cl)
+        fl_v = apply_adapter(out_v.fl, adapters.vl)
+        region_hw = fl_c.shape[-2:]
+        region_mask = build_region_mask(region_ce(ce_map_c, region_hw), region_ce(ce_map_v, region_hw))
+        l_bsd_c, l_bsd_v = terms["l_r_c"], terms["l_r_v"] = region_loss(fl_c, fl_v, region_mask)
+        terms["m_hat"] = region_mask.count.sum() * per_batch
+    if tcfg.gamma != 0.0 and tcfg.alpha != 0.0:
+        pixel_mask = build_pixel_mask(ce_map_c, ce_map_v)
+        l_p_c, l_p_v = terms["l_p_c"], terms["l_p_v"] = pixel_loss(logp_c, logp_v, pixel_mask)
+        terms["m"] = pixel_mask.count.sum() * per_batch
+        l_bsd_c = tcfg.alpha * l_p_c if l_bsd_c is None else l_bsd_c + tcfg.alpha * l_p_c
+        l_bsd_v = tcfg.alpha * l_p_v if l_bsd_v is None else l_bsd_v + tcfg.alpha * l_p_v
+    if l_bsd_c is not None:
         loss_c = loss_c + tcfg.gamma * l_bsd_c
         loss_v = loss_v + tcfg.gamma * l_bsd_v
-
+    parts = {name: terms[name].item() if name in terms else 0.0 for name in STEP_FIELDS}
     return loss_c, loss_v, parts
 
 
@@ -240,6 +219,7 @@ def train_step(batch, state: TrainState, tcfg: TrainConfig) -> dict:
     out_c = cnn_forward(x, state.params_c, state.acfg)
     out_v = vit_forward(x, state.params_v, state.acfg)
     loss_c, loss_v, parts = total_objective(out_c, out_v, labels, state.params_c, state.params_v, state.adapters, state.acfg, tcfg)
+    del out_c, out_v  # no longer read: their arrays need not outlive the backward passes
     for name, value in parts.items():
         if not math.isfinite(value):
             raise TrainingError(f"non-finite {name} ({value}) at step {step}")
@@ -276,7 +256,9 @@ def evaluate(params_c, params_v, acfg: ArchConfig, dataset):
 
 # metrics log -------------------------------------------------------------
 
-METRIC_FIELDS = ("l_ce_c", "l_ce_v", "l_hfd_c", "l_hfd_v", "l_r_c", "l_r_v", "l_p_c", "l_p_v", "m_hat", "m", "miou_c", "miou_v")
+# the terms train_step returns; the metrics log adds the two evaluation columns
+STEP_FIELDS = ("l_ce_c", "l_ce_v", "l_hfd_c", "l_hfd_v", "l_r_c", "l_r_v", "l_p_c", "l_p_v", "m_hat", "m")
+METRIC_FIELDS = STEP_FIELDS + ("miou_c", "miou_v")
 METRICS_HEADER = "# step " + " ".join(METRIC_FIELDS)
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from codistill.bsd import (
     DirectionMask,
-    bsd_loss,
     build_pixel_mask,
     build_region_mask,
     pixel_loss,
@@ -249,26 +248,6 @@ class TestShapeChecks:
         labels = np.zeros((4, 4), dtype=int)
         with pytest.raises(ShapeError):
             build_pixel_mask(ce_map_of(np.zeros((3, 4, 4)), labels), ce_map_of(np.zeros((3, 4, 2)), labels[:, :2]))
-
-
-class TestBsdCombine:
-    def test_alpha_zero_keeps_region_only(self):
-        region = (Tensor(0.2), Tensor(0.3))
-        pixel = (Tensor(0.1), Tensor(0.4))
-        lc, lv = bsd_loss(region, pixel, alpha=0.0)
-        assert (lc.item(), lv.item()) == (0.2, 0.3)
-
-    def test_alpha_one_default(self):
-        region = (Tensor(0.2), Tensor(0.3))
-        pixel = (Tensor(0.1), Tensor(0.4))
-        lc, lv = bsd_loss(region, pixel, alpha=1.0)
-        np.testing.assert_allclose([lc.item(), lv.item()], [0.3, 0.7], rtol=1e-12)
-
-    @given(st.floats(0, 5), st.floats(0, 2), st.floats(0, 2), st.floats(0, 2), st.floats(0, 2))
-    @settings(max_examples=30, deadline=None)
-    def test_direct_arithmetic(self, alpha, a, b, c, d):
-        lc, lv = bsd_loss((Tensor(a), Tensor(b)), (Tensor(c), Tensor(d)), alpha)
-        np.testing.assert_allclose([lc.item(), lv.item()], [a + alpha * c, b + alpha * d], rtol=1e-12)
 
 
 class TestSelectiveProperties:

@@ -482,6 +482,22 @@ class TestBadDataset:
         assert_exit_2(train_args(empty, tmp_path / "run", steps=1), capsys, "0x0")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command, flag", [("train", "--data"), ("train", "--eval-data"), ("ablate", "--eval-data")])
+    def test_labels_outside_the_class_range(self, dataset_dir, tmp_path, capsys, command, flag):
+        """A label the 4-class students cannot predict stops the run before its
+        first step, naming the file, with nothing written under --out."""
+        records = read_archive(dataset_dir)
+        labels = records["labels"].copy()
+        labels[1, 3, 3] = 5
+        bad = tmp_path / "six_class"
+        write_archive(bad, [("images", records["images"]), ("labels", labels)])
+        argv = train_args(bad if flag == "--data" else dataset_dir, tmp_path / "run", steps=20)
+        argv[0] = command
+        if flag == "--eval-data":
+            argv += ["--eval-data", str(bad)]
+        assert_exit_2(argv, capsys, f"{bad}: label 5 outside [0, 4)")
+        assert not (tmp_path / "run").exists()
+
     def test_train_with_eval_set_of_another_size(self, dataset_dir, tmp_path, capsys):
         big = tmp_path / "big"
         assert main(gen_args(big, n=2, size=32)) == 0

@@ -66,3 +66,22 @@ def test_only_recordio_imports_struct():
             if any(name.split(".")[0] == "struct" for name in names):
                 importers.add(path.name)
     assert importers == {"recordio.py"}
+
+
+CONFIG_CLASSES = {"TrainConfig", "ArchConfig", "SynthSpec"}
+
+
+def test_config_dataclasses_define_no_property():
+    """A run's switches are its config fields: a property would be a second, derived switch."""
+    found, properties = set(), []
+    for module, node in _top_level_statements():
+        if isinstance(node, ast.ClassDef) and node.name in CONFIG_CLASSES:
+            found.add(node.name)
+            properties += [
+                f"{module}:{item.lineno} {node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and any(isinstance(d, ast.Name) and d.id == "property" for d in item.decorator_list)
+            ]
+    assert found == CONFIG_CLASSES, "a config class moved or was renamed"
+    assert not properties, "config dataclass properties: " + ", ".join(properties)

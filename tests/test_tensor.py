@@ -298,6 +298,25 @@ class TestBackward:
         with pytest.raises(GraphError, match="consumed"):
             loss.backward()
 
+    def test_no_untracked_tensor_is_a_graph_parent(self):
+        """Constant operands (a one-hot label array, scalars) are not recorded,
+        so the graph keeps none of them alive until backward reaches them."""
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+        onehot = (rng.integers(0, 3, (2, 1, 4, 4)) == np.arange(3).reshape(3, 1, 1)).astype(float)
+        loss = -(T.log_softmax(x * 2.0 + 1.0, axis=-3) * onehot).sum() / 32.0
+        untracked, seen, stack = [], set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                if isinstance(node, Tensor) and not node.requires_grad:
+                    untracked.append(node.shape)
+                stack.extend(node._parents)
+        assert untracked == []
+        loss.backward()
+        np.testing.assert_allclose(x.grad.sum(axis=1), 0.0, atol=1e-12)
+
     def test_unread_interior_array_dies_while_the_graph_lives(self):
         """relu(conv2d(x, w) + b): no closure reads the pre-bias conv output."""
         rng = np.random.default_rng(20)

@@ -12,7 +12,7 @@ import codistill
 
 from codistill.data import SynthSpec, generate_dataset
 from codistill.errors import ConfigError, DataError, TrainingError
-from codistill.hfd import apply_adapter, hfd_loss_cnn
+from codistill.hfd import apply_adapter, hfd_loss_cnn, hfd_loss_vit
 from codistill.bsd import build_pixel_mask, build_region_mask, pixel_loss, region_ce, region_loss
 from codistill import trainer
 from codistill.losses import IGNORE_LABEL, pixel_ce
@@ -154,6 +154,44 @@ class TestTotalObjective:
         lp_c, _ = pixel_loss(log_softmax(out_c.prediction, axis=-3), log_softmax(out_v.prediction, axis=-3), pmask)
         expect = ce_c.item() + 0.3 * hfd_c.item() + 1.3 * (lr_c.item() + 0.7 * lp_c.item())
         np.testing.assert_allclose(loss_c.item(), expect, rtol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    @pytest.mark.parametrize("region", [True, False])
+    def test_bsd_cells_leave_out_the_absent_grain(self, dataset, region, alpha):
+        """L = CE + beta * HFD + gamma * (L_r + alpha * L_p), bit for bit, with
+        a grain that is off left out of the sum and logged as exactly 0."""
+        tcfg = micro_tcfg(alpha=alpha, beta=0.3, gamma=1.3, region_bsd_on=region)
+        state = make_train_state(MICRO, tcfg)
+        x = Tensor(np.stack([image for image, _ in dataset[:2]]))
+        labels = np.stack([lab for _, lab in dataset[:2]])
+        out_c, out_v = cnn_forward(x, state.params_c, MICRO), vit_forward(x, state.params_v, MICRO)
+        loss_c, loss_v, parts = total_objective(out_c, out_v, labels, state.params_c, state.params_v, state.adapters, MICRO, tcfg)
+
+        logp_c, logp_v = log_softmax(out_c.prediction, axis=-3), log_softmax(out_v.prediction, axis=-3)
+        (ce_c, map_c), (ce_v, map_v) = pixel_ce(logp_c, labels), pixel_ce(logp_v, labels)
+        expect_c = ce_c + 0.3 * hfd_loss_cnn(out_c.f1, state.adapters.c1, state.params_v, MICRO, out_v.f2)
+        expect_v = ce_v + 0.3 * hfd_loss_vit(out_v.f1, state.adapters.v1, state.params_c, MICRO, out_c.f2)
+        fl_c, fl_v = apply_adapter(out_c.fl, state.adapters.cl), apply_adapter(out_v.fl, state.adapters.vl)
+        grid = fl_c.shape[-2:]
+        rmask = build_region_mask(region_ce(map_c, grid), region_ce(map_v, grid))
+        pmask = build_pixel_mask(map_c, map_v)
+        (r_c, r_v), (p_c, p_v) = region_loss(fl_c, fl_v, rmask), pixel_loss(logp_c, logp_v, pmask)
+        if region and alpha:
+            expect_c, expect_v = expect_c + 1.3 * (r_c + 0.7 * p_c), expect_v + 1.3 * (r_v + 0.7 * p_v)
+        elif region:
+            expect_c, expect_v = expect_c + 1.3 * r_c, expect_v + 1.3 * r_v
+        elif alpha:
+            expect_c, expect_v = expect_c + 1.3 * (0.7 * p_c), expect_v + 1.3 * (0.7 * p_v)
+        assert loss_c.item() == expect_c.item() and loss_v.item() == expect_v.item()
+
+        region_parts = {"l_r_c": r_c.item(), "l_r_v": r_v.item(), "m_hat": np.sum(rmask.count) / 2}
+        pixel_parts = {"l_p_c": p_c.item(), "l_p_v": p_v.item(), "m": np.sum(pmask.count) / 2}
+        for on, grain in ((region, region_parts), (alpha != 0.0, pixel_parts)):
+            for key, value in grain.items():
+                if on:
+                    assert parts[key] == value, key
+                else:
+                    assert repr(parts[key]) == "0.0", key  # a float +0.0, not -0.0 or a numpy scalar
 
 
 class TestBatchedObjective:
@@ -352,8 +390,9 @@ class TestTapeStructure:
         # that ran the ViT head after the upsample and divided the T×T
         # attention weights 42.70 and 34.50, one whose graph nodes were its
         # output tensors, kept alive until backward returned, 36.25 and 28.34,
-        # and the current step, with data-free nodes consumed by backward,
-        # 23.38 and 20.24
+        # one with data-free nodes consumed by backward 23.38 and 20.24, and
+        # the current step, which releases the students' outputs before
+        # backward and records no untracked operand, 23.07 and 19.76
         tcfg = TrainConfig(**kw)
         batch, state = generate_dataset(SynthSpec(), 8), make_train_state(ArchConfig(), tcfg)
         tracemalloc.start()
