@@ -186,6 +186,7 @@ def cmd_eval(args) -> int:
     acfg, params_c, params_v, _ = load_checkpoint(ckpt)
     dataset = load_dataset(args.data)
     _check_image_hw(dataset, args.data, acfg.input_hw)
+    _check_labels(dataset, args.data, acfg.num_classes)
     miou_c, miou_v = evaluate(params_c, params_v, acfg, dataset)
     print(f"miou_c={miou_c:.9g} miou_v={miou_v:.9g}")
     return 0

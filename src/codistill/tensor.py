@@ -569,38 +569,83 @@ def avg_pool2d(x, k):
     return _make(data, (x,), backward)
 
 
+# 2·max_i m_i above which attention shifts by the exact row max instead
+_SHIFT_LIMIT = 300.0
+
+
+def _rowdot(a, b):
+    """Dot products of matching rows: sum over the last axis of a ⊙ b."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def attention(q, k, v):
     """softmax(q kᵀ) v over the last two axes of (..., T, d) operands, as one node.
 
     q, k and v share their leading axes; k and v share T, q and k share d.
     Forward and backward loop over images: every leading index but the
     last (the heads axis), so one image's T×T block for all heads is built
-    and consumed while it sits in cache, from views of q, k and v. The
-    block E = exp(S − rowmax S) is built in place in its slot of one saved
-    buffer, and its row sums s are kept as a (..., T, 1) array. The output
-    is normalised after the product, O = (E v) / s, so no T×T divide is
-    made. The backward takes g′ = dO / s one image at a time; then
-    dv = Eᵀ g′ and dS = (g′ vᵀ − rowsum(g′ ⊙ O)) ⊙ E, which equal
-    Pᵀ dO and (dO vᵀ − rowsum(dO ⊙ O)) ⊙ P for the weights P = E / s.
+    and consumed while it sits in cache.
+
+    Softmax ignores a per-row shift, so any upper bound on the row max
+    keeps exp ≤ 1 as well as the max does (online softmax, arXiv:1805.02867;
+    FlashAttention, arXiv:2205.14135). Row i is shifted by
+    m_i = ‖q_i‖·max_j ‖k_j‖, which is at least max_j q_i·k_j by
+    Cauchy–Schwarz, and the shift rides in the score GEMM: with
+    q̃ = [q, −m] and k̃ = [k, 1], q̃ k̃ᵀ = S − m, and E = exp(S − m) is taken
+    in place. With ṽ = [v, 1], E ṽ = [E v, s] gives the row sums s with the
+    product, and O = (E v) / s. So the forward makes three passes over the
+    scores (GEMM, exp, GEMM) and no T×T divide. m takes no gradient: O does
+    not depend on it in reals.
+
+    Guard: since |S_ij| ≤ m_i, every row keeps an entry of E at least
+    e^(−2 m_i). Where 2·max_i m_i ≤ 300 for an image, s ≥ e^−300, a normal
+    float, and g′ = dO / s stays below e^300·|dO|, so g′ vᵀ stays finite
+    unless |dO|·|v| nears 1e178. Above that limit the image is shifted by
+    its exact row max instead, taken from a plain q kᵀ; the GEMM, exp and
+    product stay the same.
+
+    The backward takes g′ = dO / s one image at a time; dv = Eᵀ g′ and
+    dS = [g′, −rowsum(g′ ⊙ O)] · [vᵀ; 1] ⊙ E, one GEMM and one multiply,
+    which equal Pᵀ dO and (dO vᵀ − rowsum(dO ⊙ O)) ⊙ P for the weights
+    P = E / s. When no operand is tracked no backward reads E, so the loop
+    reuses one image-sized block instead of a whole-batch buffer.
     """
     q, k, v = _lift(q), _lift(k), _lift(v)
     if q.ndim < 2 or k.ndim != q.ndim or k.shape[:-1] != v.shape[:-1] or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention needs q (...,T,d), k (...,S,d), v (...,S,e); got {tuple(q.shape)}, {tuple(k.shape)}, {tuple(v.shape)}")
-    images = list(np.ndindex(q.shape[:-3]))
-    kt = np.swapaxes(k.data, -1, -2)
-    e = np.empty((*q.shape[:-1], k.shape[-2]))
+    lead = q.shape[:-3]
+    images = list(np.ndindex(lead))
+    d, ev = q.shape[-1], v.shape[-1]
+    block = (*q.shape[len(lead) : -1], k.shape[-2])  # one image's scores, all heads
+    m = np.sqrt(_rowdot(q.data, q.data))[..., None]
+    m *= np.sqrt(_rowdot(k.data, k.data).max(axis=-1))[..., None, None]
+    # one image's augmented operands, refilled per image
+    qa = np.empty((*block[:-1], d + 1))  # [q, −m]
+    kat = np.ones((*block[:-2], d + 1, block[-1]))  # [kᵀ; 1]
+    va = np.ones((*block[:-2], block[-1], ev + 1))  # [v, 1]
+    recorded = q.requires_grad or k.requires_grad or v.requires_grad
+    e = np.empty((*lead, *block) if recorded else block)
     s = np.empty((*q.shape[:-1], 1))
-    out = np.empty((*q.shape[:-1], v.shape[-1]))
+    out = np.empty((*q.shape[:-1], ev))
+    prod = np.empty((*block[:-1], ev + 1))
     for i in images:
-        ei = np.matmul(q.data[i], kt[i], out=e[i])
-        ei -= ei.max(axis=-1, keepdims=True)
+        ei = e[i] if recorded else e
+        qa[..., :d] = q.data[i]
+        if 2.0 * m[i].max() > _SHIFT_LIMIT:
+            np.matmul(q.data[i], np.swapaxes(k.data[i], -1, -2), out=ei)
+            np.negative(ei.max(axis=-1, keepdims=True), out=qa[..., d:])
+        else:
+            np.negative(m[i], out=qa[..., d:])
+        kat[..., :d, :] = np.swapaxes(k.data[i], -1, -2)
+        va[..., :ev] = v.data[i]
+        np.matmul(qa, kat, out=ei)
         np.exp(ei, out=ei)
-        ei.sum(axis=-1, keepdims=True, out=s[i])
-        np.matmul(ei, v.data[i], out=out[i])
-        out[i] /= s[i]
+        np.matmul(ei, va, out=prod)
+        s[i] = prod[..., ev:]
+        np.divide(prod[..., :ev], s[i], out=out[i])
     sq, sk, sv = _shape_if_tracked(q), _shape_if_tracked(k), _shape_if_tracked(v)
     # dS reads v, gq reads k and gk reads q
-    vt = None if sq is None and sk is None else np.swapaxes(v.data, -1, -2)
+    vd = None if sq is None and sk is None else v.data
     kd = None if sq is None else k.data
     qd = None if sk is None else q.data
 
@@ -608,14 +653,20 @@ def attention(q, k, v):
         gq = None if sq is None else np.empty(sq)
         gk = None if sk is None else np.empty(sk)
         gv = None if sv is None else np.empty(sv)
+        ga = np.empty((*block[:-1], ev + 1))  # [g′, −rowsum(g′ ⊙ O)]
+        gp = ga[..., :ev]
+        if vd is not None:
+            vat = np.ones((*block[:-2], ev + 1, block[-1]))  # [vᵀ; 1]
+            ds = np.empty(block)
         for i in images:
-            gi = g[i] / s[i]
+            np.divide(g[i], s[i], out=gp)
             if gv is not None:
-                np.matmul(np.swapaxes(e[i], -1, -2), gi, out=gv[i])
-            if gq is None and gk is None:
+                np.matmul(np.swapaxes(e[i], -1, -2), gp, out=gv[i])
+            if vd is None:
                 continue
-            ds = gi @ vt[i]
-            ds -= (gi * out[i]).sum(axis=-1, keepdims=True)
+            np.negative(_rowdot(gp, out[i]), out=ga[..., ev])
+            vat[..., :ev, :] = np.swapaxes(vd[i], -1, -2)
+            np.matmul(ga, vat, out=ds)
             ds *= e[i]
             if gq is not None:
                 np.matmul(ds, kd[i], out=gq[i])

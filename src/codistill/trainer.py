@@ -235,7 +235,8 @@ def train_step(batch, state: TrainState, tcfg: TrainConfig) -> dict:
 
 
 # images per forward in evaluate: larger chunks raise peak memory (the
-# attention scores grow with the chunk) for little speed
+# activations grow with the chunk) for little speed; attention on the
+# detached parameters reuses one image's score block whatever the chunk
 EVAL_CHUNK = 8
 
 

@@ -11,7 +11,7 @@ from codistill.cli import _KEYS, _parse_bool, _parse_ints, main, make_parser, pa
 from codistill.data import load_dataset
 from codistill.errors import ConfigError
 from codistill.recordio import read_archive, write_archive
-from codistill.losses import pixel_ce
+from codistill.losses import IGNORE_LABEL, pixel_ce
 from codistill.seeding import substream
 from codistill.students import ArchConfig, cnn_forward, init_cnn_params, init_vit_params, vit_forward
 from codistill.tensor import Tensor, log_softmax, zero_grads
@@ -497,6 +497,17 @@ class TestBadDataset:
             argv += ["--eval-data", str(bad)]
         assert_exit_2(argv, capsys, f"{bad}: label 5 outside [0, 4)")
         assert not (tmp_path / "run").exists()
+
+    def test_eval_labels_outside_the_checkpoint_classes(self, dataset_dir, tmp_path, capsys):
+        """A 6-class set against a 4-class checkpoint names the file and the label."""
+        out, six = tmp_path / "run", tmp_path / "six_class"
+        assert main(train_args(dataset_dir, out, steps=1)) == 0
+        argv = gen_args(six, n=8, seed=3)
+        argv[argv.index("--classes") + 1] = "6"
+        assert main(argv) == 0
+        labels = read_archive(six)["labels"]
+        first = int(labels[(labels >= 4) & (labels != IGNORE_LABEL)][0])
+        assert_exit_2(["eval", "--checkpoint", str(out / "ckpt_final.bin"), "--data", str(six)], capsys, f"{six}: label {first} outside [0, 4)")
 
     def test_train_with_eval_set_of_another_size(self, dataset_dir, tmp_path, capsys):
         big = tmp_path / "big"

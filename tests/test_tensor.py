@@ -92,15 +92,32 @@ class TestSoftmax:
         assert np.all(s.data > 0)
 
 
-def _attention_oracle(q, k, v, g):
-    """Plain-numpy softmax(q kᵀ) v, normalised after the product, and its whole-array backward for output gradient g."""
-    e = q @ np.swapaxes(k, -1, -2)
-    e -= e.max(axis=-1, keepdims=True)
+def _rowdot(a, b):
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _attention_oracle(q, k, v, g, exact_shift=False):
+    """Plain-numpy softmax(q kᵀ) v in the op's arithmetic, whole-array: the
+    shift m (the Cauchy–Schwarz bound ‖q_i‖·max_j‖k_j‖, or the exact row
+    max) rides in [q, −m]·[k, 1]ᵀ, the row sums come out of E·[v, 1], and
+    the row term of dS rides in [g′, −rowsum(g′ ⊙ O)]·[vᵀ; 1]."""
+    ev = v.shape[-1]
+    if exact_shift:
+        m = (q @ np.swapaxes(k, -1, -2)).max(axis=-1, keepdims=True)
+    else:
+        m = np.sqrt(_rowdot(q, q))[..., None] * np.sqrt(_rowdot(k, k).max(axis=-1))[..., None, None]
+    ka, va = (np.concatenate([a, np.ones((*a.shape[:-1], 1))], axis=-1) for a in (k, v))
+    e = np.concatenate([q, -m], axis=-1) @ np.swapaxes(ka, -1, -2)
     np.exp(e, out=e)
-    s = e.sum(axis=-1, keepdims=True)
-    out = (e @ v) / s
-    gp = g / s
-    ds = (gp @ np.swapaxes(v, -1, -2) - (gp * out).sum(axis=-1, keepdims=True)) * e
+    prod = e @ va
+    s = prod[..., ev:].copy()
+    out = prod[..., :ev] / s
+    ga = np.empty((*g.shape[:-1], ev + 1))
+    gp = ga[..., :ev]
+    np.divide(g, s, out=gp)
+    ga[..., ev] = -_rowdot(gp, out)
+    ds = ga @ np.swapaxes(va, -1, -2)
+    ds *= e
     return out, (ds @ k, np.swapaxes(ds, -1, -2) @ q, np.swapaxes(e, -1, -2) @ gp)
 
 
@@ -145,6 +162,37 @@ class TestAttention:
         # relative to the largest entry of their array
         for got, ref in zip(out._backward(g), want_grads):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01], ids=["bound_shift", "exact_shift"])
+    def test_shift_guard_branches(self, factor):
+        """Each image is scaled so that 2·max_i m_i lands just below or just
+        above the limit: below it the op shifts by the Cauchy–Schwarz bound,
+        above it by the exact row max, and both are the softmax."""
+        def two_max_m(q, k):  # per image
+            return 2 * (np.sqrt(_rowdot(q, q)) * np.sqrt(_rowdot(k, k).max(axis=-1))[..., None]).max(axis=(-1, -2))
+
+        q, k, v, g = self._case((2, 2))
+        scale = np.sqrt(factor * T._SHIFT_LIMIT / two_max_m(q, k))[:, None, None, None]
+        q, k = q * scale, k * scale
+        assert np.all((two_max_m(q, k) > T._SHIFT_LIMIT) == (factor > 1))
+        out = T.attention(*(Tensor(t, requires_grad=True) for t in (q, k, v)))
+        grads = out._backward(g)
+        want, want_grads = _attention_oracle(q, k, v, g, exact_shift=factor > 1)
+        np.testing.assert_array_equal(out.data, want)
+        for got, ref in zip(grads, want_grads):
+            np.testing.assert_array_equal(got, ref)
+        want, want_grads = _softmax_weights_reference(q, k, v, g)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12)
+        for got, ref in zip(grads, want_grads):
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_untracked_forward_matches_tracked(self):
+        """With nothing recorded the op reuses one image-sized block for the
+        scores; the output is the recorded op's, bit for bit."""
+        q, k, v, _ = self._case((3, 2))
+        tracked = T.attention(*(Tensor(t, requires_grad=True) for t in (q, k, v)))
+        np.testing.assert_array_equal(T.attention(q, k, v).data, tracked.data)
 
     def test_shape_mismatch_names_all_shapes(self):
         with pytest.raises(ShapeError, match=r"\(4, 3\).*\(5, 2\).*\(5, 2\)"):

@@ -36,6 +36,8 @@ from codistill.trainer import (
     train_step,
 )
 
+from golden import step_tape
+
 MICRO = ArchConfig(input_hw=(16, 16), num_classes=3, cnn_channels=(4, 6, 8), vit_dims=(6, 8, 10), patch_size=2, num_heads=2)
 SPEC = SynthSpec(height=16, width=16, num_classes=3, noise=0.05, seed=0)
 
@@ -340,47 +342,19 @@ class TestTrainStep:
         assert state.step == 0 and state.opt_v.t == 0
 
 
-def _tape(loss):
-    """Backward closure of every recorded node reachable from a loss (leaves are not nodes)."""
-    seen, stack, closures = set(), [loss], []
-    while stack:
-        t = stack.pop()
-        if id(t) not in seen and t._parents:
-            seen.add(id(t))
-            closures.append(t._backward)
-            stack.extend(t._parents)
-    return closures
-
-
-def _default_step_tape(monkeypatch, **kw):
-    """The tape of one default batch-8 step, walked inside the objective, before backward consumes it."""
-    closures = []
-
-    def capture(*args):
-        out = total_objective(*args)
-        for loss in out[:2]:
-            closures.extend(_tape(loss))
-        return out
-
-    monkeypatch.setattr(trainer, "total_objective", capture)
-    tcfg = TrainConfig(**kw)
-    train_step(generate_dataset(SynthSpec(), 8), make_train_state(ArchConfig(), tcfg), tcfg)
-    return closures
-
-
 class TestTapeStructure:
     """Node counts and traced bytes of one default batch-8 step: counts, not timings."""
 
     @pytest.mark.parametrize("kw, nodes, attention", [({}, 231, 4), (dict(beta=0.0, gamma=0.0), 121, 3)], ids=["full", "ce_only"])
-    def test_default_step_tape(self, monkeypatch, kw, nodes, attention):
+    def test_default_step_tape(self, kw, nodes, attention):
         # one attention node per ViT stage, plus HFD's borrowed ViT stage 2
-        ops = [fn.__qualname__.split(".")[0] for fn in _default_step_tape(monkeypatch, **kw)]
+        ops = [fn.__qualname__.split(".")[0] for fn in step_tape(**kw)[0]]
         assert len(ops) == nodes
         assert ops.count("attention") == attention
 
-    def test_closures_hold_no_tensor(self, monkeypatch):
+    def test_closures_hold_no_tensor(self):
         """Closures keep arrays, shapes and flags: no node keeps an operand tensor, and so its data, alive."""
-        holders = [fn.__qualname__ for fn in _default_step_tape(monkeypatch) if any(isinstance(c.cell_contents, Tensor) for c in fn.__closure__ or ())]
+        holders = [fn.__qualname__ for fn in step_tape()[0] if any(isinstance(c.cell_contents, Tensor) for c in fn.__closure__ or ())]
         assert holders == []
 
     @pytest.mark.parametrize("kw, limit_mib", [({}, 25), (dict(beta=0.0, gamma=0.0), 22)], ids=["full", "ce_only"])
@@ -392,7 +366,9 @@ class TestTapeStructure:
         # output tensors, kept alive until backward returned, 36.25 and 28.34,
         # one with data-free nodes consumed by backward 23.38 and 20.24, and
         # the current step, which releases the students' outputs before
-        # backward and records no untracked operand, 23.07 and 19.76
+        # backward and records no untracked operand, 23.07 and 19.76; folding
+        # the attention shift into the score GEMM and taking the row sums
+        # from the P·V GEMM leave both unchanged
         tcfg = TrainConfig(**kw)
         batch, state = generate_dataset(SynthSpec(), 8), make_train_state(ArchConfig(), tcfg)
         tracemalloc.start()
@@ -402,6 +378,20 @@ class TestTapeStructure:
         finally:
             tracemalloc.stop()
         assert peak <= limit_mib * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_evaluate_peak_bytes(self):
+        # evaluate runs on detached parameters, so attention records nothing
+        # and reuses one image's score block: 2.97 MiB traced, against 9.81
+        # when every chunk filled a whole-batch score buffer
+        acfg, batch = ArchConfig(), generate_dataset(SynthSpec(), 8)
+        state = make_train_state(acfg, TrainConfig())
+        tracemalloc.start()
+        try:
+            evaluate(state.params_c, state.params_v, acfg, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestRunTraining:
