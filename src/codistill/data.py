@@ -127,7 +127,7 @@ def update_confusion(cm: np.ndarray, pred_labels: np.ndarray, gt_labels: np.ndar
     pred = pred_labels[valid].astype(int)
     if gt.size and (gt.min() < 0 or gt.max() >= k or pred.min() < 0 or pred.max() >= k):
         raise DataError(f"labels outside [0, {k}) in confusion update")
-    np.add.at(cm, (gt, pred), 1)
+    cm += np.bincount(gt * k + pred, minlength=k * k).reshape(k, k)
     return cm
 
 

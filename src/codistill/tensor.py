@@ -578,6 +578,16 @@ def _rowdot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
+def _exp_scores(q, k, shift, qa, kat, e):
+    """One image's E = exp([q, shift]·[kᵀ; 1]) into e, through the buffers qa and kat."""
+    d = q.shape[-1]
+    qa[..., :d] = q
+    qa[..., d:] = shift
+    kat[..., :d, :] = np.swapaxes(k, -1, -2)
+    np.matmul(qa, kat, out=e)
+    np.exp(e, out=e)
+
+
 def attention(q, k, v):
     """softmax(q kᵀ) v over the last two axes of (..., T, d) operands, as one node.
 
@@ -607,8 +617,14 @@ def attention(q, k, v):
     The backward takes g′ = dO / s one image at a time; dv = Eᵀ g′ and
     dS = [g′, −rowsum(g′ ⊙ O)] · [vᵀ; 1] ⊙ E, one GEMM and one multiply,
     which equal Pᵀ dO and (dO vᵀ − rowsum(dO ⊙ O)) ⊙ P for the weights
-    P = E / s. When no operand is tracked no backward reads E, so the loop
-    reuses one image-sized block instead of a whole-batch buffer.
+    P = E / s. No E is kept: the forward stores the shift column −m and s,
+    and the backward rebuilds each image's E = exp([q, −m]·[kᵀ; 1]) in one
+    image-sized block by the forward's own calls on the same operands, so
+    it is the forward's E bit for bit, the guard's exact shift included.
+    Rebuilding is the cheaper way: a whole-batch E (8 MiB at stage 1)
+    does not fit a 2 MiB per-core L2, so writing it in the forward and
+    reading it back twice in the backward costs more than a second GEMM
+    and exp into one cache-resident block.
     """
     q, k, v = _lift(q), _lift(k), _lift(v)
     if q.ndim < 2 or k.ndim != q.ndim or k.shape[:-1] != v.shape[:-1] or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
@@ -617,57 +633,51 @@ def attention(q, k, v):
     images = list(np.ndindex(lead))
     d, ev = q.shape[-1], v.shape[-1]
     block = (*q.shape[len(lead) : -1], k.shape[-2])  # one image's scores, all heads
-    m = np.sqrt(_rowdot(q.data, q.data))[..., None]
-    m *= np.sqrt(_rowdot(k.data, k.data).max(axis=-1))[..., None, None]
-    # one image's augmented operands, refilled per image
+    qd, kd, vd = q.data, k.data, v.data
+    shift = np.sqrt(_rowdot(qd, qd))[..., None]
+    shift *= -np.sqrt(_rowdot(kd, kd).max(axis=-1))[..., None, None]  # −m
     qa = np.empty((*block[:-1], d + 1))  # [q, −m]
     kat = np.ones((*block[:-2], d + 1, block[-1]))  # [kᵀ; 1]
     va = np.ones((*block[:-2], block[-1], ev + 1))  # [v, 1]
-    recorded = q.requires_grad or k.requires_grad or v.requires_grad
-    e = np.empty((*lead, *block) if recorded else block)
+    e = np.empty(block)
     s = np.empty((*q.shape[:-1], 1))
     out = np.empty((*q.shape[:-1], ev))
     prod = np.empty((*block[:-1], ev + 1))
     for i in images:
-        ei = e[i] if recorded else e
-        qa[..., :d] = q.data[i]
-        if 2.0 * m[i].max() > _SHIFT_LIMIT:
-            np.matmul(q.data[i], np.swapaxes(k.data[i], -1, -2), out=ei)
-            np.negative(ei.max(axis=-1, keepdims=True), out=qa[..., d:])
-        else:
-            np.negative(m[i], out=qa[..., d:])
-        kat[..., :d, :] = np.swapaxes(k.data[i], -1, -2)
-        va[..., :ev] = v.data[i]
-        np.matmul(qa, kat, out=ei)
-        np.exp(ei, out=ei)
-        np.matmul(ei, va, out=prod)
+        if -2.0 * shift[i].min() > _SHIFT_LIMIT:
+            np.matmul(qd[i], np.swapaxes(kd[i], -1, -2), out=e)
+            np.negative(e.max(axis=-1, keepdims=True), out=shift[i])
+        _exp_scores(qd[i], kd[i], shift[i], qa, kat, e)
+        va[..., :ev] = vd[i]
+        np.matmul(e, va, out=prod)
         s[i] = prod[..., ev:]
         np.divide(prod[..., :ev], s[i], out=out[i])
     sq, sk, sv = _shape_if_tracked(q), _shape_if_tracked(k), _shape_if_tracked(v)
-    # dS reads v, gq reads k and gk reads q
-    vd = None if sq is None and sk is None else v.data
-    kd = None if sq is None else k.data
-    qd = None if sk is None else q.data
+    vd = None if sq is None and sk is None else vd  # only dS reads v
 
     def backward(g):
         gq = None if sq is None else np.empty(sq)
         gk = None if sk is None else np.empty(sk)
         gv = None if sv is None else np.empty(sv)
+        qa = np.empty((*block[:-1], d + 1))
+        kat = np.ones((*block[:-2], d + 1, block[-1]))
+        e = np.empty(block)
         ga = np.empty((*block[:-1], ev + 1))  # [g′, −rowsum(g′ ⊙ O)]
         gp = ga[..., :ev]
         if vd is not None:
             vat = np.ones((*block[:-2], ev + 1, block[-1]))  # [vᵀ; 1]
             ds = np.empty(block)
         for i in images:
+            _exp_scores(qd[i], kd[i], shift[i], qa, kat, e)
             np.divide(g[i], s[i], out=gp)
             if gv is not None:
-                np.matmul(np.swapaxes(e[i], -1, -2), gp, out=gv[i])
+                np.matmul(np.swapaxes(e, -1, -2), gp, out=gv[i])
             if vd is None:
                 continue
             np.negative(_rowdot(gp, out[i]), out=ga[..., ev])
             vat[..., :ev, :] = np.swapaxes(vd[i], -1, -2)
             np.matmul(ga, vat, out=ds)
-            ds *= e[i]
+            ds *= e
             if gq is not None:
                 np.matmul(ds, kd[i], out=gq[i])
             if gk is not None:

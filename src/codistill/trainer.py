@@ -235,8 +235,8 @@ def train_step(batch, state: TrainState, tcfg: TrainConfig) -> dict:
 
 
 # images per forward in evaluate: larger chunks raise peak memory (the
-# activations grow with the chunk) for little speed; attention on the
-# detached parameters reuses one image's score block whatever the chunk
+# activations grow with the chunk) for little speed; every attention call
+# reuses one image's score block whatever the chunk
 EVAL_CHUNK = 8
 
 

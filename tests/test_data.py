@@ -191,6 +191,25 @@ class TestMiou:
             update_confusion(rev, pred, gt)
         np.testing.assert_array_equal(fwd, rev)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counts_match_per_pixel_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        gt = rng.integers(0, 4, (3, 9, 7))
+        pred = rng.integers(0, 4, (3, 9, 7))
+        gt[rng.random(gt.shape) < 0.2] = IGNORE_LABEL
+        want = np.full((4, 4), 5, np.int64)  # counts add onto what cm holds
+        for g, p in zip(gt.ravel().tolist(), pred.ravel().tolist()):
+            if g != IGNORE_LABEL:
+                want[g, p] += 1
+        got = update_confusion(np.full((4, 4), 5, np.int64), pred, gt)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    def test_out_of_range_label_rejected(self):
+        gt = np.zeros((2, 2), dtype=int)
+        with pytest.raises(DataError, match=r"labels outside \[0, 3\) in confusion update"):
+            update_confusion(np.zeros((3, 3), np.int64), np.full((2, 2), 3), gt)
+
     def test_predict_labels_argmax(self):
         logits = np.zeros((3, 2, 2))
         logits[1, 0, 0] = 5.0

@@ -188,11 +188,20 @@ class TestAttention:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_untracked_forward_matches_tracked(self):
-        """With nothing recorded the op reuses one image-sized block for the
-        scores; the output is the recorded op's, bit for bit."""
+        """Tracked or not, the op fills one image-sized block for the scores;
+        the untracked output is the recorded op's, bit for bit."""
         q, k, v, _ = self._case((3, 2))
         tracked = T.attention(*(Tensor(t, requires_grad=True) for t in (q, k, v)))
         np.testing.assert_array_equal(T.attention(q, k, v).data, tracked.data)
+
+    def test_backward_keeps_no_score_array(self):
+        """At stage-1 shapes the backward closure holds no T×S array: it
+        rebuilds each image's scores rather than keeping a whole-batch E."""
+        rng = np.random.default_rng(17)
+        out = T.attention(*(Tensor(rng.standard_normal((8, 2, 256, 8)), requires_grad=True) for _ in range(3)))
+        held = [c.cell_contents for c in out._backward.__closure__]
+        big = [a.shape for a in held if isinstance(a, np.ndarray) and a.size >= 256 * 256]
+        assert big == []
 
     def test_shape_mismatch_names_all_shapes(self):
         with pytest.raises(ShapeError, match=r"\(4, 3\).*\(5, 2\).*\(5, 2\)"):

@@ -357,18 +357,20 @@ class TestTapeStructure:
         holders = [fn.__qualname__ for fn in step_tape()[0] if any(isinstance(c.cell_contents, Tensor) for c in fn.__closure__ or ())]
         assert holders == []
 
-    @pytest.mark.parametrize("kw, limit_mib", [({}, 25), (dict(beta=0.0, gamma=0.0), 22)], ids=["full", "ce_only"])
+    @pytest.mark.parametrize("kw, limit_mib", [({}, 17), (dict(beta=0.0, gamma=0.0), 14)], ids=["full", "ce_only"])
     def test_default_step_peak_bytes(self, kw, limit_mib):
         # traced numpy bytes, not RSS: the same on every run; a step that kept
         # interior gradients measured 54.0 (full) and 42.0 (CE-only) MiB, one
         # that ran the ViT head after the upsample and divided the T×T
         # attention weights 42.70 and 34.50, one whose graph nodes were its
         # output tensors, kept alive until backward returned, 36.25 and 28.34,
-        # one with data-free nodes consumed by backward 23.38 and 20.24, and
-        # the current step, which releases the students' outputs before
-        # backward and records no untracked operand, 23.07 and 19.76; folding
-        # the attention shift into the score GEMM and taking the row sums
-        # from the P·V GEMM leave both unchanged
+        # one with data-free nodes consumed by backward 23.38 and 20.24, one
+        # that releases the students' outputs before backward and records no
+        # untracked operand 23.07 and 19.76 (folding the attention shift into
+        # the score GEMM and taking the row sums from the P·V GEMM left both
+        # unchanged), and the current step, whose attention backward rebuilds
+        # each image's scores instead of keeping a whole-batch E, 14.09 and
+        # 11.27
         tcfg = TrainConfig(**kw)
         batch, state = generate_dataset(SynthSpec(), 8), make_train_state(ArchConfig(), tcfg)
         tracemalloc.start()
@@ -380,9 +382,9 @@ class TestTapeStructure:
         assert peak <= limit_mib * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_evaluate_peak_bytes(self):
-        # evaluate runs on detached parameters, so attention records nothing
-        # and reuses one image's score block: 2.97 MiB traced, against 9.81
-        # when every chunk filled a whole-batch score buffer
+        # every attention call fills one image's score block: 2.97 MiB
+        # traced, against 9.81 when every chunk filled a whole-batch score
+        # buffer
         acfg, batch = ArchConfig(), generate_dataset(SynthSpec(), 8)
         state = make_train_state(acfg, TrainConfig())
         tracemalloc.start()
