@@ -163,6 +163,10 @@ def _prepare(args) -> tuple:
     for dataset, path in ((train_set, args.data), (eval_set, args.eval_data)):
         if dataset is not None:
             _check_labels(dataset, path, acfg.num_classes)
+    # run_training evaluates on the eval set, else on the training set
+    eval_on, eval_path = (train_set, args.data) if eval_set is None else (eval_set, args.eval_data)
+    if all((labels == IGNORE_LABEL).all() for _, labels in eval_on):
+        raise DataError(f"{eval_path}: every pixel has the ignore label {IGNORE_LABEL}, so mIoU is undefined")
     return (train_set, eval_set), acfg, tcfg
 
 
@@ -220,12 +224,19 @@ def cmd_ablate(args) -> int:
 def cmd_sweep(args) -> int:
     datasets, acfg, base = _prepare(args)
     out_dir = Path(args.out)
+    raw = [v.strip() for v in args.values.split(",") if v.strip() != ""]
     try:
-        points = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        points = [float(v) for v in raw]
     except ValueError as exc:
         raise ConfigError(f"bad sweep values {args.values!r}: {exc}") from exc
     if not points:
         raise ConfigError("sweep needs at least one value")
+    cell_names = {}  # a value's run directory and table row are named by {value:g}
+    for text, value in zip(raw, points):
+        name = f"{args.param}_{value:g}"
+        if name in cell_names:
+            raise ConfigError(f"sweep values {cell_names[name]} and {text} both name cell {name}")
+        cell_names[name] = text
     vanilla = replace(base, beta=0.0, gamma=0.0)
     cells = [(value, replace(base, **{args.param: value})) for value in points]  # every config is checked before any run
     result_v = _run_one_training(args, datasets, acfg, vanilla, out_dir / "vanilla")

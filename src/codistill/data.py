@@ -18,7 +18,6 @@ from .errors import ConfigError, DataError, MetricError
 from .losses import IGNORE_LABEL
 from .recordio import read_archive, write_archive
 from .seeding import substream
-from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -144,6 +143,5 @@ def miou_from_confusion(cm: np.ndarray) -> float:
 
 
 def predict_labels(prediction) -> np.ndarray:
-    """Argmax class map from (N×)K×H×W logits (tensor or array)."""
-    data = prediction.data if isinstance(prediction, Tensor) else np.asarray(prediction)
-    return data.argmax(axis=-3)
+    """Argmax class map from a tensor of (N×)K×H×W logits."""
+    return prediction.data.argmax(axis=-3)

@@ -32,24 +32,17 @@ class FeatureAdapter:
     bias: Tensor  # (C_out,)
     pool: int
 
-    @property
-    def in_channels(self):
-        return self.weight.shape[1]
-
-    @property
-    def out_channels(self):
-        return self.weight.shape[0]
-
     def named_tensors(self, prefix):
         return [(f"{prefix}/weight", self.weight), (f"{prefix}/bias", self.bias)]
 
 
 def apply_adapter(f: Tensor, adapter: FeatureAdapter) -> Tensor:
-    if f.ndim not in (3, 4) or f.shape[-3] != adapter.in_channels:
-        raise ConfigError(f"adapter expects {adapter.in_channels} input channels, got {tuple(f.shape)}")
+    c_out, c_in = adapter.weight.shape[:2]
+    if f.ndim not in (3, 4) or f.shape[-3] != c_in:
+        raise ConfigError(f"adapter expects {c_in} input channels, got {tuple(f.shape)}")
     if f.shape[-2] % adapter.pool or f.shape[-1] % adapter.pool:
         raise ConfigError(f"feature {tuple(f.shape)} not divisible by pool factor {adapter.pool}")
-    out = conv2d(f, adapter.weight) + adapter.bias.reshape((adapter.out_channels, 1, 1))
+    out = conv2d(f, adapter.weight) + adapter.bias.reshape((c_out, 1, 1))
     if adapter.pool > 1:
         out = avg_pool2d(out, adapter.pool)
     return out

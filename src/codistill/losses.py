@@ -1,8 +1,9 @@
 """Loss primitives: pixel-wise cross-entropy, cosine distance, per-pixel KL.
 
-All three return graph-connected tensors. pixel_ce additionally returns a
-plain-array per-pixel CE map, which is what the selective-transfer masks
-are built from; mask construction is deliberately gradient-free.
+All three return graph-connected tensors. pixel_ce additionally returns the
+per-pixel CE values as a plain array, 0 on ignored pixels, which is what the
+selective-transfer masks are built from; mask construction is deliberately
+gradient-free.
 
 Class scores live on axis -3 of (N×)K×H×W maps. CE and KL take
 log-probabilities (``log_softmax`` over that axis), so a caller that needs
@@ -11,8 +12,6 @@ image, then averaged over the leading batch axis.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,25 +22,13 @@ IGNORE_LABEL = 255
 COSINE_EPS = 1e-8
 
 
-@dataclass(frozen=True)
-class PixelCEMap:
-    """Per-pixel cross-entropy values with their validity mask.
-
-    Ignored pixels carry value 0 and valid=False; they are excluded from
-    averages and from every reliability vote downstream.
-    """
-
-    values: np.ndarray  # (N×)H×W float64
-    valid: np.ndarray  # (N×)H×W bool
-
-
 def pixel_ce(log_probs: Tensor, labels: np.ndarray):
     """Mean cross-entropy of (N×)K×H×W log-probabilities against (N×)H×W labels.
 
-    Returns (scalar tensor, PixelCEMap). The scalar averages each image
+    Returns (scalar tensor, (N×)H×W array). The scalar averages each image
     over its non-ignore pixels (0 when every pixel is ignored), then over
-    the batch; the map carries the raw per-pixel values for region votes
-    and direction masks.
+    the batch; the array holds the per-pixel values, 0 on ignored pixels,
+    for region votes and direction masks.
     """
     if log_probs.ndim not in (3, 4):
         raise DataError(f"pixel_ce expects (N×)K×H×W log-probabilities, got {tuple(log_probs.shape)}")
@@ -59,7 +46,7 @@ def pixel_ce(log_probs: Tensor, labels: np.ndarray):
     ce_map = -(log_probs * onehot).sum(axis=-3)
     n = valid.sum(axis=(-2, -1))
     scalar = (ce_map.sum(axis=(-2, -1)) / np.maximum(n, 1)).mean()
-    return scalar, PixelCEMap(values=ce_map.data.copy(), valid=valid)
+    return scalar, ce_map.data
 
 
 def cosine_distance(a: Tensor, b: Tensor) -> Tensor:

@@ -102,14 +102,6 @@ class Tensor:
         return () if self._node is None else self._node._parents
 
     @property
-    def _backward(self):
-        return None if self._node is None else self._node._backward
-
-    @_backward.setter
-    def _backward(self, backward):
-        self._node._backward = backward
-
-    @property
     def shape(self):
         return self.data.shape
 

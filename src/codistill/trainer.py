@@ -163,7 +163,9 @@ def total_objective(out_c, out_v, labels, params_c, params_v, adapters: AdapterS
         l_hfd_v = terms["l_hfd_v"] = hfd_loss_vit(out_v.f1, adapters.v1, params_c, acfg, out_c.f2)
         loss_c = loss_c + tcfg.beta * l_hfd_c
         loss_v = loss_v + tcfg.beta * l_hfd_v
-    # the selective sum L_r + alpha * L_p leaves out a grain that is off
+    # the selective sum L_r + alpha * L_p leaves out a grain that is off; a
+    # direction mask is (cnn_teaches, vit_teaches), and m_hat and m count the
+    # units where the CNN teaches
     l_bsd_c = l_bsd_v = None
     if tcfg.gamma != 0.0 and tcfg.region_bsd_on:
         fl_c = apply_adapter(out_c.fl, adapters.cl)
@@ -171,11 +173,11 @@ def total_objective(out_c, out_v, labels, params_c, params_v, adapters: AdapterS
         region_hw = fl_c.shape[-2:]
         region_mask = build_region_mask(region_ce(ce_map_c, region_hw), region_ce(ce_map_v, region_hw))
         l_bsd_c, l_bsd_v = terms["l_r_c"], terms["l_r_v"] = region_loss(fl_c, fl_v, region_mask)
-        terms["m_hat"] = region_mask.count.sum() * per_batch
+        terms["m_hat"] = region_mask[0].sum() * per_batch
     if tcfg.gamma != 0.0 and tcfg.alpha != 0.0:
-        pixel_mask = build_pixel_mask(ce_map_c, ce_map_v)
+        pixel_mask = build_pixel_mask(ce_map_c, ce_map_v, labels)
         l_p_c, l_p_v = terms["l_p_c"], terms["l_p_v"] = pixel_loss(logp_c, logp_v, pixel_mask)
-        terms["m"] = pixel_mask.count.sum() * per_batch
+        terms["m"] = pixel_mask[0].sum() * per_batch
         l_bsd_c = tcfg.alpha * l_p_c if l_bsd_c is None else l_bsd_c + tcfg.alpha * l_p_c
         l_bsd_v = tcfg.alpha * l_p_v if l_bsd_v is None else l_bsd_v + tcfg.alpha * l_p_v
     if l_bsd_c is not None:

@@ -48,13 +48,13 @@ def environment() -> dict:
 
 def _tape(loss):
     """Backward closure of every recorded node reachable from a loss (leaves are not nodes)."""
-    seen, stack, closures = set(), [loss], []
+    seen, stack, closures = set(), [loss._node], []
     while stack:
-        t = stack.pop()
-        if id(t) not in seen and t._parents:
-            seen.add(id(t))
-            closures.append(t._backward)
-            stack.extend(t._parents)
+        node = stack.pop()
+        if id(node) not in seen and node._parents:
+            seen.add(id(node))
+            closures.append(node._backward)
+            stack.extend(node._parents)
     return closures
 
 

@@ -50,7 +50,7 @@ class Scene:
             hfd = hfd_loss_vit(out_v.f1, self.adapters.v1, self.params_c, TINY, out_c.f2)
         fl_c, fl_v, rmask, map_c, map_v = self.region_pieces(out_c, out_v)
         lr_c, lr_v = region_loss(fl_c, fl_v, rmask)
-        pmask = build_pixel_mask(map_c, map_v)
+        pmask = build_pixel_mask(map_c, map_v, self.labels)
         lp_c, lp_v = pixel_loss(log_softmax(out_c.prediction, axis=-3), log_softmax(out_v.prediction, axis=-3), pmask)
         if student == "c":
             return ce + 0.1 * hfd + 1.0 * (lr_c + 1.0 * lp_c)
@@ -117,7 +117,7 @@ def composite_checks():
             out_c, out_v = scene.forward()
             _, map_c = pixel_ce(log_softmax(out_c.prediction, axis=-3), scene.labels)
             _, map_v = pixel_ce(log_softmax(out_v.prediction, axis=-3), scene.labels)
-            mask = build_pixel_mask(map_c, map_v)
+            mask = build_pixel_mask(map_c, map_v, scene.labels)
             return pixel_loss(log_softmax(out_c.prediction, axis=-3), log_softmax(out_v.prediction, axis=-3), mask)[0 if side == "c" else 1]
 
         leaves = (_cnn_trunk(scene) + [scene.params_c["head_w"]]) if side == "c" else (_vit_trunk(scene) + [scene.params_v["head_w"]])

@@ -23,13 +23,18 @@ def bf_region_ce(ce_values, rows, cols):
 
 
 def bf_direction_mask(ce_cnn, ce_vit, valid=None):
-    out = np.zeros(ce_cnn.shape)
-    it = np.ndindex(*ce_cnn.shape)
-    for idx in it:
-        ok = True if valid is None else bool(valid[idx])
-        if ok and ce_cnn[idx] < ce_vit[idx]:
-            out[idx] = 1.0
-    return out
+    """(cnn_teaches, vit_teaches): 1 where that student has the strictly lower
+    CE (ties to the ViT) on a valid unit, else 0."""
+    cnn_teaches = np.zeros(ce_cnn.shape)
+    vit_teaches = np.zeros(ce_cnn.shape)
+    for idx in np.ndindex(*ce_cnn.shape):
+        if valid is not None and not valid[idx]:
+            continue
+        if ce_cnn[idx] < ce_vit[idx]:
+            cnn_teaches[idx] = 1.0
+        else:
+            vit_teaches[idx] = 1.0
+    return cnn_teaches, vit_teaches
 
 
 def bf_masked_means(values, mask_values, valid=None):

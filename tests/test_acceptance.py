@@ -14,7 +14,6 @@ import pytest
 
 from codistill import students
 from codistill.bsd import (
-    DirectionMask,
     build_pixel_mask,
     build_region_mask,
     pixel_loss,
@@ -77,9 +76,9 @@ def test_criterion_1_composite_check_catches_planted_error(monkeypatch):
 
     def skewed_layer_norm(x, gain, bias):
         out = layer_norm(x, gain, bias)
-        backward = out._backward
-        if backward is not None:
-            out._backward = lambda g: [None if pg is None else pg * (1.0 + 1e-4) for pg in backward(g)]
+        if out._node is not None:
+            backward = out._node._backward
+            out._node._backward = lambda g: [None if pg is None else pg * (1.0 + 1e-4) for pg in backward(g)]
         return out
 
     monkeypatch.setattr(students, "layer_norm", skewed_layer_norm)
@@ -107,25 +106,28 @@ def test_criterion_2_mask_oracles():
 
         grid = (rows, cols)
         ce_c, ce_v = region_ce(map_c, grid), region_ce(map_v, grid)
-        np.testing.assert_allclose(ce_c, bf_region_ce(map_c.values, rows, cols), rtol=1e-12)
+        np.testing.assert_allclose(ce_c, bf_region_ce(map_c, rows, cols), rtol=1e-12)
 
         rmask = build_region_mask(ce_c, ce_v)
-        np.testing.assert_array_equal(rmask.values, bf_direction_mask(ce_c, ce_v))
+        for got, exp in zip(rmask, bf_direction_mask(ce_c, ce_v)):
+            np.testing.assert_array_equal(got, exp)
 
-        pmask = build_pixel_mask(map_c, map_v)
-        np.testing.assert_array_equal(pmask.values, bf_direction_mask(map_c.values, map_v.values, map_c.valid))
+        valid = labels != IGNORE_LABEL
+        pmask = build_pixel_mask(map_c, map_v, labels)
+        for got, exp in zip(pmask, bf_direction_mask(map_c, map_v, valid)):
+            np.testing.assert_array_equal(got, exp)
 
         d = int(rng.integers(2, 6))
         fc = rng.standard_normal((d, rows, cols))
         fv = rng.standard_normal((d, rows, cols))
         lr_c, lr_v = region_loss(Tensor(fc), Tensor(fv), rmask)
         s = cosine_distance(Tensor(fc), Tensor(fv)).data
-        exp_c, exp_v = bf_masked_means(s, rmask.values)
+        exp_c, exp_v = bf_masked_means(s, rmask[0])
         for got, exp in ((lr_c.item(), exp_c), (lr_v.item(), exp_v)):
             assert abs(got - exp) <= 1e-9 * max(abs(exp), 1e-12)
 
         lp_c, lp_v = pixel_loss(log_softmax(Tensor(logits_c), axis=-3), log_softmax(Tensor(logits_v), axis=-3), pmask)
-        exp_c, exp_v = bf_pixel_losses(logits_c, logits_v, pmask.values, pmask.valid)
+        exp_c, exp_v = bf_pixel_losses(logits_c, logits_v, pmask[0], valid)
         for got, exp in ((lp_c.item(), exp_c), (lp_v.item(), exp_v)):
             assert abs(got - exp) <= 1e-9 * max(abs(exp), 1e-12)
         checked += 1
@@ -152,7 +154,7 @@ def test_criterion_3_degenerate_masks():
             pc, pv = Tensor(lc, requires_grad=True), Tensor(lv, requires_grad=True)
             _, map_c = pixel_ce(log_softmax(pc, axis=-3), lab)
             _, map_v = pixel_ce(log_softmax(pv, axis=-3), lab)
-            pmask = build_pixel_mask(map_c, map_v)
+            pmask = build_pixel_mask(map_c, map_v, lab)
             lp_c, lp_v = pixel_loss(log_softmax(pc, axis=-3), log_softmax(pv, axis=-3), pmask)
             grid = (rows, cols)
             rmask = build_region_mask(region_ce(map_c, grid), region_ce(map_v, grid))
@@ -167,16 +169,16 @@ def test_criterion_3_degenerate_masks():
                 assert t.grad is None or np.all(np.isfinite(t.grad))
             cases += 1
         for count in (0, rows * cols):
-            values = np.full((rows, cols), 1.0 if count else 0.0)
-            mask = DirectionMask(values=values, valid=np.ones((rows, cols), bool))
+            cnn_teaches = np.full((rows, cols), 1.0 if count else 0.0)
+            mask = (cnn_teaches, 1.0 - cnn_teaches)
             fc = Tensor(rng.standard_normal((4, rows, cols)))
             fv = Tensor(rng.standard_normal((4, rows, cols)))
             lr_c, lr_v = region_loss(fc, fv, mask)
             assert math.isfinite(lr_c.item()) and math.isfinite(lr_v.item())
             cases += 1
         for count in (0, h * w):
-            values = np.full((h, w), 1.0 if count else 0.0)
-            mask = DirectionMask(values=values, valid=np.ones((h, w), bool))
+            cnn_teaches = np.full((h, w), 1.0 if count else 0.0)
+            mask = (cnn_teaches, 1.0 - cnn_teaches)
             lp_c, lp_v = pixel_loss(log_softmax(Tensor(logits), axis=-3), log_softmax(Tensor(rng.standard_normal((k, h, w))), axis=-3), mask)
             assert math.isfinite(lp_c.item()) and math.isfinite(lp_v.item())
             cases += 1
@@ -232,10 +234,11 @@ def test_criterion_5_definitional_zeros():
     hfd_own_vit = hfd_loss_cnn(out_v.f1, identity_adapter(acfg.vit_dims[0]), params_v, acfg, out_v.f2).item()
     hfd_own_cnn = hfd_loss_vit(out_c.f1, identity_adapter(acfg.cnn_channels[0]), params_c, acfg, out_c.f2).item()
 
-    mask = DirectionMask(values=np.zeros((4, 4)), valid=np.ones((4, 4), bool))
-    mask.values[0, 0] = 1.0
+    cnn_teaches = np.zeros((4, 4))
+    cnn_teaches[0, 0] = 1.0
+    mask = (cnn_teaches, 1.0 - cnn_teaches)
     same = Tensor(rng.standard_normal((3, 16, 16)))
-    lp_c, lp_v = pixel_loss(log_softmax(same, axis=-3), log_softmax(Tensor(same.data.copy()), axis=-3), DirectionMask(values=np.ones((16, 16)), valid=np.ones((16, 16), bool)))
+    lp_c, lp_v = pixel_loss(log_softmax(same, axis=-3), log_softmax(Tensor(same.data.copy()), axis=-3), (np.ones((16, 16)), np.zeros((16, 16))))
     feats = Tensor(rng.standard_normal((5, 4, 4)))
     lr_c, lr_v = region_loss(feats, Tensor(feats.data.copy()), mask)
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codistill.bsd import (
-    DirectionMask,
     build_pixel_mask,
     build_region_mask,
     pixel_loss,
@@ -14,7 +13,7 @@ from codistill.bsd import (
     region_loss,
 )
 from codistill.errors import ConfigError
-from codistill.losses import IGNORE_LABEL, PixelCEMap, cosine_distance, pixel_ce
+from codistill.losses import IGNORE_LABEL, cosine_distance, pixel_ce
 from codistill.tensor import ShapeError, Tensor, log_softmax, zero_grads
 
 from oracles import bf_cosine_map, bf_direction_mask, bf_masked_means, bf_pixel_losses, bf_region_ce
@@ -24,11 +23,16 @@ def ce_map_of(logits, labels):
     return pixel_ce(log_softmax(Tensor(logits), axis=-3), labels)[1]
 
 
-def random_mask(rng, h, w, valid=None):
-    if valid is None:
-        valid = np.ones((h, w), dtype=bool)
-    values = np.where(valid, rng.integers(0, 2, (h, w)).astype(float), 0.0)
-    return DirectionMask(values=values, valid=valid)
+def random_mask(rng, h, w, valid=True):
+    """(cnn_teaches, vit_teaches) with a random direction on each valid unit."""
+    cnn_better = rng.integers(0, 2, (h, w)).astype(bool)
+    return np.where(valid & cnn_better, 1.0, 0.0), np.where(valid & ~cnn_better, 1.0, 0.0)
+
+
+def full_mask(shape, teacher):
+    """Every unit votes and `teacher` ("cnn" or "vit") teaches on all of them."""
+    ones, zeros = np.ones(shape), np.zeros(shape)
+    return (ones, zeros) if teacher == "cnn" else (zeros, ones)
 
 
 class TestRegionGrid:
@@ -61,28 +65,32 @@ class TestRegionCE:
         labels[rng.random((8, 8)) < 0.1] = IGNORE_LABEL
         m = ce_map_of(rng.standard_normal((3, 8, 8)), labels)
         sums = region_ce(m, (4, 2))
-        np.testing.assert_allclose(sums, bf_region_ce(m.values, 4, 2), rtol=1e-12)
+        np.testing.assert_allclose(sums, bf_region_ce(m, 4, 2), rtol=1e-12)
 
 
 class TestRegionMask:
     def test_ties_go_to_vit(self):
         ce = np.ones((3, 3))
-        mask = build_region_mask(ce, ce.copy())
-        assert mask.count == 0
-        np.testing.assert_array_equal(mask.values, np.zeros((3, 3)))
+        cnn_teaches, vit_teaches = build_region_mask(ce, ce.copy())
+        assert cnn_teaches.sum() == 0
+        np.testing.assert_array_equal(cnn_teaches, np.zeros((3, 3)))
+        np.testing.assert_array_equal(vit_teaches, np.ones((3, 3)))
 
     def test_cnn_strictly_better_everywhere(self):
-        mask = build_region_mask(np.zeros((3, 4)), np.ones((3, 4)))
-        assert mask.count == 12
-        np.testing.assert_array_equal(mask.values, np.ones((3, 4)))
+        cnn_teaches, vit_teaches = build_region_mask(np.zeros((3, 4)), np.ones((3, 4)))
+        assert cnn_teaches.sum() == 12
+        np.testing.assert_array_equal(cnn_teaches, np.ones((3, 4)))
+        np.testing.assert_array_equal(vit_teaches, np.zeros((3, 4)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         a, b = rng.random((5, 5)), rng.random((5, 5))
-        mask = build_region_mask(a, b)
-        np.testing.assert_array_equal(mask.values, bf_direction_mask(a, b))
-        assert mask.count == int(mask.values.sum())
+        cnn_teaches, vit_teaches = build_region_mask(a, b)
+        exp_cnn, exp_vit = bf_direction_mask(a, b)
+        np.testing.assert_array_equal(cnn_teaches, exp_cnn)
+        np.testing.assert_array_equal(vit_teaches, exp_vit)
+        np.testing.assert_array_equal(cnn_teaches + vit_teaches, np.ones((5, 5)))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -91,8 +99,9 @@ class TestRegionMask:
         a, b = rng.random((4, 4)), rng.random((4, 4))
         fwd = build_region_mask(a, b)
         rev = build_region_mask(b, a)
-        np.testing.assert_array_equal(fwd.values + rev.values, np.ones((4, 4)))
-        assert fwd.count + rev.count == 16
+        np.testing.assert_array_equal(fwd[0] + rev[0], np.ones((4, 4)))
+        np.testing.assert_array_equal(fwd[0], rev[1])
+        assert fwd[0].sum() + rev[0].sum() == 16
 
 
 class TestRegionSimilarity:
@@ -121,15 +130,13 @@ class TestRegionLoss:
 
     def test_empty_cnn_side(self):
         rng, fc, fv = self.setup_features(2)
-        mask = DirectionMask(values=np.zeros((3, 3)), valid=np.ones((3, 3), bool))
-        lc, lv = region_loss(fc, fv, mask)
+        lc, lv = region_loss(fc, fv, full_mask((3, 3), "vit"))
         assert lv.item() == 0.0
         np.testing.assert_allclose(lc.item(), cosine_distance(fc, fv).data.mean(), rtol=1e-12)
 
     def test_full_cnn_side(self):
         rng, fc, fv = self.setup_features(3)
-        mask = DirectionMask(values=np.ones((3, 3)), valid=np.ones((3, 3), bool))
-        lc, lv = region_loss(fc, fv, mask)
+        lc, lv = region_loss(fc, fv, full_mask((3, 3), "cnn"))
         assert lc.item() == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -138,7 +145,7 @@ class TestRegionLoss:
         mask = random_mask(rng, 3, 3)
         lc, lv = region_loss(fc, fv, mask)
         s = bf_cosine_map(fc.data, fv.data)
-        exp_c, exp_v = bf_masked_means(s, mask.values)
+        exp_c, exp_v = bf_masked_means(s, mask[0])
         np.testing.assert_allclose(lc.item(), exp_c, rtol=1e-9)
         np.testing.assert_allclose(lv.item(), exp_v, rtol=1e-9)
 
@@ -158,8 +165,17 @@ class TestPixelMask:
     def test_equal_maps_all_zero(self):
         labels = np.zeros((4, 4), dtype=int)
         m = ce_map_of(np.random.default_rng(5).standard_normal((3, 4, 4)), labels)
-        mask = build_pixel_mask(m, PixelCEMap(values=m.values.copy(), valid=m.valid.copy()))
-        assert mask.count == 0
+        cnn_teaches, vit_teaches = build_pixel_mask(m, m.copy(), labels)
+        assert cnn_teaches.sum() == 0
+        np.testing.assert_array_equal(vit_teaches, np.ones((4, 4)))
+
+    def test_all_ignored_votes_for_neither(self):
+        labels = np.full((4, 4), IGNORE_LABEL)
+        rng = np.random.default_rng(13)
+        mc, mv = ce_map_of(rng.standard_normal((3, 4, 4)), labels), ce_map_of(rng.standard_normal((3, 4, 4)), labels)
+        for cnn_teaches, vit_teaches in (build_pixel_mask(mc, mv, labels), build_pixel_mask(mc - 1.0, mv, labels)):
+            np.testing.assert_array_equal(cnn_teaches, np.zeros((4, 4)))
+            np.testing.assert_array_equal(vit_teaches, np.zeros((4, 4)))
 
     def test_perfect_cnn_vs_uniform_vit(self):
         rng = np.random.default_rng(6)
@@ -170,10 +186,10 @@ class TestPixelMask:
             for j in range(4):
                 if labels[i, j] != IGNORE_LABEL:
                     perfect[labels[i, j], i, j] = 50.0
-        mask = build_pixel_mask(ce_map_of(perfect, labels), ce_map_of(np.zeros((3, 4, 4)), labels))
-        assert mask.count == 14  # every valid pixel
-        assert mask.toward_vit.sum() == 0
-        np.testing.assert_array_equal(mask.values[0, :2], [0.0, 0.0])  # ignored pixels forced to 0
+        cnn_teaches, vit_teaches = build_pixel_mask(ce_map_of(perfect, labels), ce_map_of(np.zeros((3, 4, 4)), labels), labels)
+        assert cnn_teaches.sum() == 14  # every valid pixel
+        assert vit_teaches.sum() == 0
+        np.testing.assert_array_equal(cnn_teaches[0, :2], [0.0, 0.0])  # ignored pixels forced to 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
@@ -182,9 +198,12 @@ class TestPixelMask:
         labels[rng.random((6, 6)) < 0.15] = IGNORE_LABEL
         mc = ce_map_of(rng.standard_normal((3, 6, 6)), labels)
         mv = ce_map_of(rng.standard_normal((3, 6, 6)), labels)
-        mask = build_pixel_mask(mc, mv)
-        np.testing.assert_array_equal(mask.values, bf_direction_mask(mc.values, mv.values, mc.valid))
-        assert mask.count + mask.toward_vit.sum() == int(mc.valid.sum())
+        valid = labels != IGNORE_LABEL
+        cnn_teaches, vit_teaches = build_pixel_mask(mc, mv, labels)
+        exp_cnn, exp_vit = bf_direction_mask(mc, mv, valid)
+        np.testing.assert_array_equal(cnn_teaches, exp_cnn)
+        np.testing.assert_array_equal(vit_teaches, exp_vit)
+        assert cnn_teaches.sum() + vit_teaches.sum() == int(valid.sum())
 
 
 class TestPixelLoss:
@@ -200,8 +219,7 @@ class TestPixelLoss:
         rng = np.random.default_rng(8)
         p = Tensor(rng.standard_normal((3, 4, 4)))
         q = Tensor(rng.standard_normal((3, 4, 4)))
-        mask = DirectionMask(values=np.zeros((4, 4)), valid=np.ones((4, 4), bool))
-        _, lv = pixel_loss(log_softmax(p, axis=-3), log_softmax(q, axis=-3), mask)
+        _, lv = pixel_loss(log_softmax(p, axis=-3), log_softmax(q, axis=-3), full_mask((4, 4), "vit"))
         assert lv.item() == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -212,7 +230,7 @@ class TestPixelLoss:
         valid = rng.random((5, 5)) > 0.1
         mask = random_mask(rng, 5, 5, valid)
         lc, lv = pixel_loss(log_softmax(p, axis=-3), log_softmax(q, axis=-3), mask)
-        exp_c, exp_v = bf_pixel_losses(p.data, q.data, mask.values, valid)
+        exp_c, exp_v = bf_pixel_losses(p.data, q.data, mask[0], valid)
         np.testing.assert_allclose(lc.item(), exp_c, rtol=1e-9)
         np.testing.assert_allclose(lv.item(), exp_v, rtol=1e-9)
 
@@ -247,7 +265,9 @@ class TestShapeChecks:
             build_region_mask(np.zeros((3, 3)), np.zeros((3, 4)))
         labels = np.zeros((4, 4), dtype=int)
         with pytest.raises(ShapeError):
-            build_pixel_mask(ce_map_of(np.zeros((3, 4, 4)), labels), ce_map_of(np.zeros((3, 4, 2)), labels[:, :2]))
+            build_pixel_mask(ce_map_of(np.zeros((3, 4, 4)), labels), ce_map_of(np.zeros((3, 4, 2)), labels[:, :2]), labels)
+        with pytest.raises(ShapeError):
+            build_pixel_mask(np.zeros((4, 4)), np.zeros((4, 4)), labels[:, :2])
 
 
 class TestSelectiveProperties:
@@ -258,12 +278,12 @@ class TestSelectiveProperties:
         labels[0, 0] = IGNORE_LABEL
         mc = ce_map_of(rng.standard_normal((3, 8, 8)), labels)
         mv = ce_map_of(rng.standard_normal((3, 8, 8)), labels)
-        mask = build_pixel_mask(mc, mv)
-        to_vit = mask.valid & (mask.values == 1.0)
-        to_cnn = mask.valid & (mask.values == 0.0)
+        cnn_teaches, vit_teaches = build_pixel_mask(mc, mv, labels)
+        for weights in (cnn_teaches, vit_teaches):
+            assert weights.dtype == np.float64 and set(np.unique(weights)) <= {0.0, 1.0}
+        to_vit, to_cnn = cnn_teaches == 1.0, vit_teaches == 1.0
         assert not np.any(to_vit & to_cnn)
-        np.testing.assert_array_equal(to_vit | to_cnn, mask.valid)
-        assert mask.count == to_vit.sum() and mask.toward_vit.sum() == to_cnn.sum()
+        np.testing.assert_array_equal(to_vit | to_cnn, labels != IGNORE_LABEL)
 
     def test_student_swap_antisymmetry(self):
         rng = np.random.default_rng(11)
@@ -276,7 +296,7 @@ class TestSelectiveProperties:
         lc2, lv2 = region_loss(fc, fv, rev)
         # swapped votes exchange which regions feed which loss
         s = cosine_distance(fc, fv).data
-        exp_c2, exp_v2 = bf_masked_means(s, 1.0 - fwd.values)
+        exp_c2, exp_v2 = bf_masked_means(s, 1.0 - fwd[0])
         np.testing.assert_allclose(lc2.item(), exp_c2, rtol=1e-9)
         np.testing.assert_allclose(lv2.item(), exp_v2, rtol=1e-9)
 
@@ -287,13 +307,13 @@ class TestSelectiveProperties:
         logits_c = rng.standard_normal((3, 6, 6))
         logits_v = rng.standard_normal((3, 6, 6))
         mc, mv = ce_map_of(logits_c, labels), ce_map_of(logits_v, labels)
-        margin = np.abs(mc.values - mv.values).min()
+        margin = np.abs(mc - mv).min()
         assert margin > 1e-9
-        before = build_pixel_mask(mc, mv)
+        before = build_pixel_mask(mc, mv, labels)
         nudged = ce_map_of(logits_c + 1e-12, labels)
-        after = build_pixel_mask(nudged, mv)
-        np.testing.assert_array_equal(before.values, after.values)
-        assert before.count == after.count
+        after = build_pixel_mask(nudged, mv, labels)
+        for b, a in zip(before, after):
+            np.testing.assert_array_equal(b, a)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_degenerate_masks_stay_finite(self, seed):
@@ -302,15 +322,11 @@ class TestSelectiveProperties:
         fv = Tensor(rng.standard_normal((5, 3, 3)), requires_grad=True)
         pc = Tensor(rng.standard_normal((3, 6, 6)), requires_grad=True)
         pv = Tensor(rng.standard_normal((3, 6, 6)), requires_grad=True)
-        for ones in (0, 9):
-            values = np.zeros((3, 3)) if ones == 0 else np.ones((3, 3))
-            mask = DirectionMask(values=values, valid=np.ones((3, 3), bool))
-            lc, lv = region_loss(fc, fv, mask)
+        for teacher in ("vit", "cnn"):
+            lc, lv = region_loss(fc, fv, full_mask((3, 3), teacher))
             assert math.isfinite(lc.item()) and math.isfinite(lv.item())
-        for ones in (0, 36):
-            values = np.zeros((6, 6)) if ones == 0 else np.ones((6, 6))
-            mask = DirectionMask(values=values, valid=np.ones((6, 6), bool))
-            lc, lv = pixel_loss(log_softmax(pc, axis=-3), log_softmax(pv, axis=-3), mask)
+        for teacher in ("vit", "cnn"):
+            lc, lv = pixel_loss(log_softmax(pc, axis=-3), log_softmax(pv, axis=-3), full_mask((6, 6), teacher))
             assert math.isfinite(lc.item()) and math.isfinite(lv.item())
             total = lc + lv
             zero_grads([pc, pv])

@@ -420,6 +420,16 @@ class TestSweep:
         assert_exit_2(["sweep", "--param", "alpha", "--values", "0.5,-1", "--data", str(dataset_dir), "--out", str(out), "--steps", "1"], capsys, "alpha")
         assert not out.exists()
 
+    @pytest.mark.parametrize("values, cell", [("1,1.0", "alpha_1"), ("0.5,0.1,0.1000001", "alpha_0.1")])
+    def test_values_naming_one_cell_fail_before_any_run(self, dataset_dir, tmp_path, capsys, values, cell):
+        """Two values that format alike would share a run directory and table
+        name: the second run would overwrite the first."""
+        out = tmp_path / "s"
+        first, second = values.split(",")[-2:]
+        argv = ["sweep", "--param", "alpha", "--values", values, "--data", str(dataset_dir), "--out", str(out), "--steps", "1"]
+        assert_exit_2(argv, capsys, f"sweep values {first} and {second} both name cell {cell}")
+        assert not out.exists()
+
 
 class TestOsErrors:
     """An unusable path on the command line exits 2 with a one-line error, not a traceback."""
@@ -508,6 +518,28 @@ class TestBadDataset:
         labels = read_archive(six)["labels"]
         first = int(labels[(labels >= 4) & (labels != IGNORE_LABEL)][0])
         assert_exit_2(["eval", "--checkpoint", str(out / "ckpt_final.bin"), "--data", str(six)], capsys, f"{six}: label {first} outside [0, 4)")
+
+    @pytest.mark.parametrize("command, flag", [("train", "--data"), ("train", "--eval-data"), ("sweep", "--eval-data")])
+    def test_evaluated_set_with_no_labelled_pixel(self, dataset_dir, tmp_path, capsys, command, flag):
+        """mIoU is undefined on a set whose every pixel is ignored: the set the
+        run evaluates on (the eval set, else the training set) is rejected
+        before its first step, with nothing written under --out."""
+        records = read_archive(dataset_dir)
+        blank = tmp_path / "all_ignored"
+        write_archive(blank, [("images", records["images"]), ("labels", np.full_like(records["labels"], IGNORE_LABEL))])
+        argv = train_args(blank if flag == "--data" else dataset_dir, tmp_path / "run", steps=4, extra=["--eval-every", "2"])
+        if flag == "--eval-data":
+            argv += ["--eval-data", str(blank)]
+        if command == "sweep":
+            argv[0:1] = ["sweep", "--param", "gamma", "--values", "1"]
+        assert_exit_2(argv, capsys, f"{blank}: every pixel has the ignore label {IGNORE_LABEL}")
+        assert not (tmp_path / "run").exists()
+
+    def test_unlabelled_training_set_with_a_labelled_eval_set_runs(self, dataset_dir, tmp_path):
+        records = read_archive(dataset_dir)
+        blank = tmp_path / "all_ignored"
+        write_archive(blank, [("images", records["images"]), ("labels", np.full_like(records["labels"], IGNORE_LABEL))])
+        assert main(train_args(blank, tmp_path / "run", steps=2, extra=["--eval-data", str(dataset_dir)])) == 0
 
     def test_train_with_eval_set_of_another_size(self, dataset_dir, tmp_path, capsys):
         big = tmp_path / "big"

@@ -17,6 +17,7 @@ from codistill.data import (
 from codistill.errors import ConfigError, DataError, MetricError
 from codistill.losses import IGNORE_LABEL
 from codistill.recordio import write_archive
+from codistill.tensor import Tensor
 
 
 def bf_miou(pred, gt, k):
@@ -214,4 +215,4 @@ class TestMiou:
         logits = np.zeros((3, 2, 2))
         logits[1, 0, 0] = 5.0
         logits[2, 1, 1] = 5.0
-        np.testing.assert_array_equal(predict_labels(logits), [[1, 0], [0, 2]])
+        np.testing.assert_array_equal(predict_labels(Tensor(logits)), [[1, 0], [0, 2]])

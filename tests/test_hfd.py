@@ -84,8 +84,8 @@ class TestAdapterPlan:
     def test_default_plan_reports_derived_shapes(self):
         cfg = ArchConfig()
         adapters = init_adapters(cfg, np.random.default_rng(0))
-        geometry = {name: (a.in_channels, a.out_channels, a.pool) for name, a in vars(adapters).items()}
-        assert geometry == {"c1": (8, 16, 1), "v1": (16, 8, 1), "cl": (24, 24, 2), "vl": (48, 24, 1)}
+        geometry = {name: (*a.weight.shape, a.pool) for name, a in vars(adapters).items()}
+        assert geometry == {"c1": (16, 8, 1, 1, 1), "v1": (8, 16, 1, 1, 1), "cl": (24, 24, 1, 1, 2), "vl": (24, 48, 1, 1, 1)}
         assert (cfg.cnn_channels[-1], *cfg.vit_feature_hw("fl")) == (24, 4, 4)
 
     def test_adapters_make_alignments_well_formed(self, setup):

@@ -62,9 +62,9 @@ class TestConv2d:
         x = rng.standard_normal((2, 6, 6, 3)).transpose(0, 3, 1, 2)
         w = Tensor(rng.standard_normal((4, 3, k, k)))
         g = rng.standard_normal((2, 4, 6 // k, 6 // k))
-        gx, _ = T.conv2d(Tensor(x, requires_grad=True), w, stride=k)._backward(g)
+        gx, _ = T.conv2d(Tensor(x, requires_grad=True), w, stride=k)._node._backward(g)
         assert np.argsort(gx.strides).tolist() == np.argsort(x.strides).tolist()
-        ref, _ = T.conv2d(Tensor(np.ascontiguousarray(x), requires_grad=True), w, stride=k)._backward(g)
+        ref, _ = T.conv2d(Tensor(np.ascontiguousarray(x), requires_grad=True), w, stride=k)._node._backward(g)
         np.testing.assert_array_equal(gx, ref)
 
 
@@ -148,7 +148,7 @@ class TestAttention:
         out = T.attention(*(Tensor(t, requires_grad=True) for t in (q, k, v)))
         np.testing.assert_array_equal(out.data, want)
         # slice by slice in the op, whole-array here: the same products per slice
-        for got, ref in zip(out._backward(g), want_grads):
+        for got, ref in zip(out._node._backward(g), want_grads):
             np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["single", "batch", "batch_heads"])
@@ -160,7 +160,7 @@ class TestAttention:
         np.testing.assert_allclose(out.data, want, rtol=1e-12)
         # gradient entries near zero come out of cancelling sums: bound them
         # relative to the largest entry of their array
-        for got, ref in zip(out._backward(g), want_grads):
+        for got, ref in zip(out._node._backward(g), want_grads):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     @pytest.mark.parametrize("factor", [0.99, 1.01], ids=["bound_shift", "exact_shift"])
@@ -176,7 +176,7 @@ class TestAttention:
         q, k = q * scale, k * scale
         assert np.all((two_max_m(q, k) > T._SHIFT_LIMIT) == (factor > 1))
         out = T.attention(*(Tensor(t, requires_grad=True) for t in (q, k, v)))
-        grads = out._backward(g)
+        grads = out._node._backward(g)
         want, want_grads = _attention_oracle(q, k, v, g, exact_shift=factor > 1)
         np.testing.assert_array_equal(out.data, want)
         for got, ref in zip(grads, want_grads):
@@ -199,7 +199,7 @@ class TestAttention:
         rebuilds each image's scores rather than keeping a whole-batch E."""
         rng = np.random.default_rng(17)
         out = T.attention(*(Tensor(rng.standard_normal((8, 2, 256, 8)), requires_grad=True) for _ in range(3)))
-        held = [c.cell_contents for c in out._backward.__closure__]
+        held = [c.cell_contents for c in out._node._backward.__closure__]
         big = [a.shape for a in held if isinstance(a, np.ndarray) and a.size >= 256 * 256]
         assert big == []
 
@@ -249,8 +249,8 @@ class TestDeadGradients:
         x = rng.standard_normal((2, 3, 8, 8))
         w = Tensor(rng.standard_normal((4, 3, 4, 4)), requires_grad=True)
         g = rng.standard_normal((2, 4, 4, 4))
-        gx, gw = T.conv2d(Tensor(x), w, stride=2, padding=1)._backward(g)
-        gx_live, gw_live = T.conv2d(Tensor(x, requires_grad=True), w, stride=2, padding=1)._backward(g)
+        gx, gw = T.conv2d(Tensor(x), w, stride=2, padding=1)._node._backward(g)
+        gx_live, gw_live = T.conv2d(Tensor(x, requires_grad=True), w, stride=2, padding=1)._node._backward(g)
         assert gx is None and gx_live.shape == x.shape
         np.testing.assert_array_equal(gw, gw_live)
 
@@ -260,18 +260,18 @@ class TestDeadGradients:
         a = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         b = Tensor(rng.uniform(0.5, 2.0, (3, 3)))
         g = rng.standard_normal((3, 3))
-        ga, gb = op(a, b)._backward(g)
+        ga, gb = op(a, b)._node._backward(g)
         assert gb is None
-        np.testing.assert_array_equal(ga, op(a, Tensor(b.data, requires_grad=True))._backward(g)[0])
-        assert op(b, a)._backward(g)[0] is None
+        np.testing.assert_array_equal(ga, op(a, Tensor(b.data, requires_grad=True))._node._backward(g)[0])
+        assert op(b, a)._node._backward(g)[0] is None
 
     @pytest.mark.parametrize("tracked", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)])
     def test_attention_untracked_parents_get_none(self, tracked):
         rng = np.random.default_rng(15)
         arrays = [rng.standard_normal((2, 5, 3)) for _ in range(3)]
         g = rng.standard_normal((2, 5, 3))
-        grads = T.attention(*(Tensor(a, requires_grad=bool(t)) for a, t in zip(arrays, tracked)))._backward(g)
-        live = T.attention(*(Tensor(a, requires_grad=True) for a in arrays))._backward(g)
+        grads = T.attention(*(Tensor(a, requires_grad=bool(t)) for a, t in zip(arrays, tracked)))._node._backward(g)
+        live = T.attention(*(Tensor(a, requires_grad=True) for a in arrays))._node._backward(g)
         for t, got, ref in zip(tracked, grads, live):
             if t:
                 np.testing.assert_array_equal(got, ref)
@@ -281,7 +281,7 @@ class TestDeadGradients:
     def test_attention_without_tracked_parent_records_nothing(self):
         rng = np.random.default_rng(16)
         out = T.attention(*(Tensor(rng.standard_normal((2, 5, 3))) for _ in range(3)))
-        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert not out.requires_grad and out._parents == () and out._node is None
 
 
 class TestBatchAxis:

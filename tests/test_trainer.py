@@ -152,7 +152,7 @@ class TestTotalObjective:
         grid = fl_c.shape[1:]
         rmask = build_region_mask(region_ce(map_c, grid), region_ce(map_v, grid))
         lr_c, _ = region_loss(fl_c, fl_v, rmask)
-        pmask = build_pixel_mask(map_c, map_v)
+        pmask = build_pixel_mask(map_c, map_v, labels)
         lp_c, _ = pixel_loss(log_softmax(out_c.prediction, axis=-3), log_softmax(out_v.prediction, axis=-3), pmask)
         expect = ce_c.item() + 0.3 * hfd_c.item() + 1.3 * (lr_c.item() + 0.7 * lp_c.item())
         np.testing.assert_allclose(loss_c.item(), expect, rtol=1e-12)
@@ -176,7 +176,7 @@ class TestTotalObjective:
         fl_c, fl_v = apply_adapter(out_c.fl, state.adapters.cl), apply_adapter(out_v.fl, state.adapters.vl)
         grid = fl_c.shape[-2:]
         rmask = build_region_mask(region_ce(map_c, grid), region_ce(map_v, grid))
-        pmask = build_pixel_mask(map_c, map_v)
+        pmask = build_pixel_mask(map_c, map_v, labels)
         (r_c, r_v), (p_c, p_v) = region_loss(fl_c, fl_v, rmask), pixel_loss(logp_c, logp_v, pmask)
         if region and alpha:
             expect_c, expect_v = expect_c + 1.3 * (r_c + 0.7 * p_c), expect_v + 1.3 * (r_v + 0.7 * p_v)
@@ -186,8 +186,8 @@ class TestTotalObjective:
             expect_c, expect_v = expect_c + 1.3 * (0.7 * p_c), expect_v + 1.3 * (0.7 * p_v)
         assert loss_c.item() == expect_c.item() and loss_v.item() == expect_v.item()
 
-        region_parts = {"l_r_c": r_c.item(), "l_r_v": r_v.item(), "m_hat": np.sum(rmask.count) / 2}
-        pixel_parts = {"l_p_c": p_c.item(), "l_p_v": p_v.item(), "m": np.sum(pmask.count) / 2}
+        region_parts = {"l_r_c": r_c.item(), "l_r_v": r_v.item(), "m_hat": rmask[0].sum() / 2}
+        pixel_parts = {"l_p_c": p_c.item(), "l_p_v": p_v.item(), "m": pmask[0].sum() / 2}
         for on, grain in ((region, region_parts), (alpha != 0.0, pixel_parts)):
             for key, value in grain.items():
                 if on:
