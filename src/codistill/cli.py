@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .data import SynthSpec, generate_dataset, load_dataset, save_dataset
-from .errors import ConfigError, DataError, MetricError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .losses import IGNORE_LABEL
 from .recordio import replacing
 from .students import ArchConfig
@@ -124,45 +124,31 @@ def _out_dir(path) -> Path:
 # commands ---------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    spec = SynthSpec(
-        height=args.size,
-        width=args.size,
-        num_classes=args.classes,
-        min_shapes=args.min_shapes,
-        max_shapes=args.max_shapes,
-        noise=args.noise,
-        seed=args.seed,
-    )
-    save_dataset(args.out, generate_dataset(spec, args.n))
+    save_dataset(args.out, generate_dataset(_build(SynthSpec, vars(args)), args.n))
     print(f"wrote {args.n} samples to {args.out}")
     return 0
 
 
-def _check_image_hw(dataset, where, hw) -> None:
+def _check_dataset(dataset, where, acfg) -> None:
+    """The image size and labels of a loaded dataset fit the architecture."""
     h, w = dataset[0][0].shape[1:]
-    if (h, w) != hw:
-        raise DataError(f"{where}: images are {h}x{w}, expected {hw[0]}x{hw[1]}")
-
-
-def _check_labels(dataset, where, num_classes) -> None:
+    if (h, w) != acfg.input_hw:
+        raise DataError(f"{where}: images are {h}x{w}, expected {acfg.input_hw[0]}x{acfg.input_hw[1]}")
     for _, labels in dataset:
-        bad = labels[(labels >= num_classes) & (labels != IGNORE_LABEL)]
+        bad = labels[(labels >= acfg.num_classes) & (labels != IGNORE_LABEL)]
         if bad.size:
-            raise DataError(f"{where}: label {bad[0]} outside [0, {num_classes}) and not the ignore label {IGNORE_LABEL}")
+            raise DataError(f"{where}: label {bad[0]} outside [0, {acfg.num_classes}) and not the ignore label {IGNORE_LABEL}")
 
 
 def _prepare(args) -> tuple:
     """((train set, eval set or None), ArchConfig, TrainConfig) for a training
     command, with both sets checked against the configuration."""
     train_set = load_dataset(args.data)
-    hw = train_set[0][0].shape[1:]
     eval_set = load_dataset(args.eval_data) if args.eval_data else None
-    if eval_set is not None:
-        _check_image_hw(eval_set, args.eval_data, hw)
-    acfg, tcfg = resolve_configs(args, hw)
+    acfg, tcfg = resolve_configs(args, train_set[0][0].shape[1:])
     for dataset, path in ((train_set, args.data), (eval_set, args.eval_data)):
         if dataset is not None:
-            _check_labels(dataset, path, acfg.num_classes)
+            _check_dataset(dataset, path, acfg)
     # run_training evaluates on the eval set, else on the training set
     eval_on, eval_path = (train_set, args.data) if eval_set is None else (eval_set, args.eval_data)
     if all((labels == IGNORE_LABEL).all() for _, labels in eval_on):
@@ -184,13 +170,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise ConfigError(f"checkpoint not found: {ckpt}")
-    acfg, params_c, params_v, _ = load_checkpoint(ckpt)
+    acfg, params_c, params_v, _ = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    _check_image_hw(dataset, args.data, acfg.input_hw)
-    _check_labels(dataset, args.data, acfg.num_classes)
+    _check_dataset(dataset, args.data, acfg)
     miou_c, miou_v = evaluate(params_c, params_v, acfg, dataset)
     print(f"miou_c={miou_c:.9g} miou_v={miou_v:.9g}")
     return 0
@@ -270,13 +252,9 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset file")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--size", type=int, default=32)
+    for f in fields(SynthSpec):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--min-shapes", dest="min_shapes", type=int, default=1)
-    p.add_argument("--max-shapes", dest="max_shapes", type=int, default=2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -310,7 +288,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, MetricError, OSError) as exc:
+    except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

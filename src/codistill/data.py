@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MetricError
+from .errors import ConfigError, DataError
 from .losses import IGNORE_LABEL
 from .recordio import read_archive, write_archive
 from .seeding import substream
@@ -22,23 +22,22 @@ from .seeding import substream
 
 @dataclass(frozen=True)
 class SynthSpec:
-    height: int = 32
-    width: int = 32
-    num_classes: int = 4
+    size: int = 32  # images are size×size
+    classes: int = 4
     min_shapes: int = 1
     max_shapes: int = 2
     noise: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
-        if self.height < 8 or self.width < 8:
-            raise ConfigError(f"images must be at least 8x8, got {self.height}x{self.width}")
-        if not 2 <= self.num_classes <= IGNORE_LABEL:  # labels are uint8 and 255 means ignore
-            raise ConfigError(f"num_classes must be in [2, {IGNORE_LABEL}], got {self.num_classes}")
+        if self.size < 8:
+            raise ConfigError(f"size must be at least 8, got {self.size}")
+        if not 2 <= self.classes <= IGNORE_LABEL:  # labels are uint8 and 255 means ignore
+            raise ConfigError(f"classes must be in [2, {IGNORE_LABEL}], got {self.classes}")
         if self.min_shapes < 1 or self.max_shapes < self.min_shapes:
             raise ConfigError(f"bad shape count range [{self.min_shapes}, {self.max_shapes}]")
-        if self.noise < 0:
-            raise ConfigError(f"noise must be non-negative, got {self.noise}")
+        if not 0 <= self.noise < np.inf:
+            raise ConfigError(f"noise must be finite and non-negative, got {self.noise}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -54,16 +53,16 @@ def generate_dataset(spec: SynthSpec, n: int):
     if n < 1:
         raise ConfigError(f"need n >= 1 samples, got {n}")
     rng = substream(spec.seed, "data")
-    h, w = spec.height, spec.width
+    h = w = spec.size
     yy, xx = np.mgrid[0:h, 0:w]
     samples = []
     for _ in range(n):
         image = np.empty((3, h, w))
-        image[:] = class_color(0, spec.num_classes)[:, None, None]
+        image[:] = class_color(0, spec.classes)[:, None, None]
         labels = np.zeros((h, w), dtype=np.uint8)
         for _ in range(int(rng.integers(spec.min_shapes, spec.max_shapes + 1))):
-            cls = int(rng.integers(1, spec.num_classes))
-            color = class_color(cls, spec.num_classes) + rng.uniform(-0.05, 0.05, 3)
+            cls = int(rng.integers(1, spec.classes))
+            color = class_color(cls, spec.classes) + rng.uniform(-0.05, 0.05, 3)
             # shapes span a decent fraction of the image so that even a
             # coarse-grid predictor can localize them
             if rng.random() < 0.5:
@@ -112,6 +111,8 @@ def load_dataset(path):
         raise DataError(f"{path}: images {images.shape} and labels {labels.shape} are not N×3×H×W and N×H×W with N >= 1")
     if not np.all((labels >= 0) & (labels <= 255) & (labels == np.floor(labels))):
         raise DataError(f"{path}: labels must be integers in [0, 255]")
+    if not np.isfinite(images).all():
+        raise DataError(f"{path}: images hold a non-finite value")
     return list(zip(images, labels.astype(np.uint8)))
 
 
@@ -133,7 +134,7 @@ def update_confusion(cm: np.ndarray, pred_labels: np.ndarray, gt_labels: np.ndar
 def miou_from_confusion(cm: np.ndarray) -> float:
     """Mean IoU over classes present in prediction or ground truth."""
     if cm.sum() == 0:
-        raise MetricError("mIoU undefined: no evaluated pixels (all ignored?)")
+        raise DataError("mIoU undefined: no evaluated pixels (all ignored?)")
     tp = np.diag(cm).astype(float)
     fp = cm.sum(axis=0) - tp
     fn = cm.sum(axis=1) - tp

@@ -6,12 +6,9 @@ class ConfigError(ValueError):
 
 
 class DataError(ValueError):
-    """Malformed input data, e.g. a label outside the class range."""
+    """Malformed input data, e.g. a label outside the class range or no labelled pixel."""
 
 
 class TrainingError(RuntimeError):
     """Training produced a non-finite loss term or gradient."""
 
-
-class MetricError(ValueError):
-    """A metric is undefined for the given inputs (e.g. all pixels ignored)."""

@@ -306,9 +306,10 @@ def load_checkpoint(path):
 
     The checkpoint must hold exactly the records save_checkpoint writes for
     its stored architecture: a missing, unexpected or wrong-shaped record,
-    a non-integer config value, or an architecture that is invalid or too
-    large for the archive raises DataError. Every record is checked against
-    the shapes the config implies before any parameter is allocated.
+    a non-integer config value, an architecture that is invalid or too
+    large for the archive, or a non-finite parameter raises DataError.
+    Every record is checked against the shapes the config implies before
+    any parameter is allocated.
     """
     blob = read_archive(path)
     config_names = [f"config/{f.name}" for f in fields(ArchConfig)]
@@ -338,6 +339,9 @@ def load_checkpoint(path):
             raise DataError(f"{path}: checkpoint lacks record {name}")
         if blob[name].shape != shape:
             raise DataError(f"{path}: record {name} has shape {blob[name].shape}, expected {shape}")
+    for name in shapes:
+        if not np.isfinite(blob[name]).all():
+            raise DataError(f"{path}: record {name} holds a non-finite value")
     rng = np.random.default_rng(0)
     params_c, params_v, adapters = init_cnn_params(acfg, rng), init_vit_params(acfg, rng), init_adapters(acfg, rng)
     for name, p in _param_records(params_c, params_v, adapters):

@@ -1,5 +1,7 @@
+import argparse
 import shlex
 import subprocess
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 import codistill
 from codistill import recordio, trainer
 from codistill.cli import _KEYS, _parse_bool, _parse_ints, main, make_parser, parse_config_file, resolve_configs
-from codistill.data import load_dataset
+from codistill.data import SynthSpec, generate_dataset, load_dataset, save_dataset
 from codistill.errors import ConfigError
 from codistill.recordio import read_archive, write_archive
 from codistill.losses import IGNORE_LABEL, pixel_ce
@@ -106,8 +108,23 @@ class TestGen:
         assert not any(tmp_path.iterdir())
 
     def test_class_count_above_255_exits_2(self, tmp_path, capsys):
-        assert_exit_2(gen_args(tmp_path / "d") + ["--classes", "256"], capsys, "num_classes")
+        assert_exit_2(gen_args(tmp_path / "d") + ["--classes", "256"], capsys, "classes must be")
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_exits_2(self, tmp_path, capsys, noise):
+        assert_exit_2(gen_args(tmp_path / "d") + ["--noise", noise], capsys, "noise must be finite")
+        assert not any(tmp_path.iterdir())
+
+    def test_gen_is_the_library(self, tmp_path):
+        """`gen` writes what the library writes for the same spec, and its flags
+        are SynthSpec's fields plus --n and --out."""
+        assert main(["gen", "--n", "8", "--seed", "3", "--out", str(tmp_path / "cli")]) == 0
+        save_dataset(tmp_path / "lib", generate_dataset(SynthSpec(seed=3), 8))
+        assert (tmp_path / "cli").read_bytes() == (tmp_path / "lib").read_bytes()
+        (commands,) = [a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {s for a in commands.choices["gen"]._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == {f"--{f.name.replace('_', '-')}" for f in fields(SynthSpec)} | {"--n", "--out"}
 
     def test_class_coverage(self, tmp_path):
         out = tmp_path / "d"
@@ -485,6 +502,16 @@ class TestBadDataset:
         out = tmp_path / "run"
         assert main(train_args(dataset_dir, out, steps=1)) == 0
         assert_exit_2(["eval", "--checkpoint", str(out / "ckpt_final.bin"), "--data", str(one_channel)], capsys, "N×3×H×W")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_train_on_non_finite_images(self, dataset_dir, tmp_path, capsys, value):
+        records = read_archive(dataset_dir)
+        images = records["images"].copy()
+        images[2, 1, 5, 5] = value
+        bad = tmp_path / "bad_pixel"
+        write_archive(bad, [("images", images), ("labels", records["labels"])])
+        assert_exit_2(train_args(bad, tmp_path / "run", steps=1), capsys, f"{bad}: images hold a non-finite value")
+        assert not (tmp_path / "run").exists()
 
     def test_train_on_zero_size_images(self, tmp_path, capsys):
         empty = tmp_path / "empty"

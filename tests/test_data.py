@@ -14,7 +14,7 @@ from codistill.data import (
     save_dataset,
     update_confusion,
 )
-from codistill.errors import ConfigError, DataError, MetricError
+from codistill.errors import ConfigError, DataError
 from codistill.losses import IGNORE_LABEL
 from codistill.recordio import write_archive
 from codistill.tensor import Tensor
@@ -34,7 +34,7 @@ def bf_miou(pred, gt, k):
 
 class TestGeneration:
     def test_single_rectangle_two_values(self):
-        spec = SynthSpec(height=16, width=16, num_classes=2, min_shapes=1, max_shapes=1, noise=0.0, seed=3)
+        spec = SynthSpec(size=16, classes=2, min_shapes=1, max_shapes=1, noise=0.0, seed=3)
         for image, labels in generate_dataset(spec, 8):
             assert set(np.unique(labels)) <= {0, 1}
             assert 1 in np.unique(labels)  # the shape is painted
@@ -49,7 +49,7 @@ class TestGeneration:
             assert la.tobytes() == lb.tobytes()
 
     def test_every_class_appears_over_100_images(self):
-        spec = SynthSpec(num_classes=4, min_shapes=2, max_shapes=4, seed=0)
+        spec = SynthSpec(classes=4, min_shapes=2, max_shapes=4, seed=0)
         counts = np.zeros(4, dtype=int)
         for _, labels in generate_dataset(spec, 100):
             for c in range(4):
@@ -58,17 +58,20 @@ class TestGeneration:
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ConfigError):
-            SynthSpec(num_classes=1)
+            SynthSpec(classes=1)
         with pytest.raises(ConfigError):
             SynthSpec(min_shapes=3, max_shapes=1)
         with pytest.raises(ConfigError):
             generate_dataset(SynthSpec(), 0)
+        for noise in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="noise must be finite"):
+                SynthSpec(noise=noise)
 
     def test_class_count_bounded_by_ignore_label(self):
         """Labels are uint8 and 255 is the ignore label, so 255 classes is the most a set can hold."""
-        with pytest.raises(ConfigError, match="num_classes"):
-            SynthSpec(num_classes=IGNORE_LABEL + 1)
-        spec = SynthSpec(height=8, width=8, num_classes=IGNORE_LABEL, min_shapes=4, max_shapes=4, seed=2)
+        with pytest.raises(ConfigError, match="classes"):
+            SynthSpec(classes=IGNORE_LABEL + 1)
+        spec = SynthSpec(size=8, classes=IGNORE_LABEL, min_shapes=4, max_shapes=4, seed=2)
         for _, labels in generate_dataset(spec, 20):
             assert labels.dtype == np.uint8 and labels.max() < IGNORE_LABEL
 
@@ -87,7 +90,7 @@ class TestRecords:
         assert labels.tobytes() == labels2.tobytes()
 
     def test_dataset_directory_roundtrip(self, tmp_path):
-        samples = generate_dataset(SynthSpec(height=8, width=8, seed=2), 4)
+        samples = generate_dataset(SynthSpec(size=8, seed=2), 4)
         path = tmp_path / "d" / "set.bin"  # the missing parent directory is created
         save_dataset(path, samples)
         back = load_dataset(path)
@@ -116,7 +119,7 @@ class TestRecords:
 
     def test_truncated_record_rejected(self, tmp_path):
         path = tmp_path / "set.bin"
-        save_dataset(path, generate_dataset(SynthSpec(height=8, width=8), 2))
+        save_dataset(path, generate_dataset(SynthSpec(size=8), 2))
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(DataError, match="truncated"):
             load_dataset(path)
@@ -133,8 +136,10 @@ class TestRecords:
             ([("images", np.zeros((2, 3, 8, 8))), ("labels", np.full((2, 8, 8), 256.0))], "integers"),
             ([("images", np.zeros((2, 3, 8, 8))), ("labels", np.full((2, 8, 8), -1.0))], "integers"),
             ([("images", np.zeros((2, 3, 8, 8))), ("labels", np.full((2, 8, 8), np.nan))], "integers"),
+            ([("images", np.where(np.arange(384).reshape(2, 3, 8, 8) == 100, np.nan, 0.5)), ("labels", np.zeros((2, 8, 8)))], "non-finite"),
+            ([("images", np.where(np.arange(384).reshape(2, 3, 8, 8) == 100, np.inf, 0.5)), ("labels", np.zeros((2, 8, 8)))], "non-finite"),
         ],
-        ids=["images_only", "extra_record", "no_samples", "one_channel", "label_shape", "label_2.5", "label_256", "label_neg", "label_nan"],
+        ids=["images_only", "extra_record", "no_samples", "one_channel", "label_shape", "label_2.5", "label_256", "label_neg", "label_nan", "image_nan", "image_inf"],
     )
     def test_malformed_dataset_rejected(self, tmp_path, records, match):
         path = tmp_path / "set.bin"
@@ -167,7 +172,7 @@ class TestMiou:
 
     def test_all_ignore_is_undefined(self):
         cm = update_confusion(np.zeros((3, 3), np.int64), np.zeros((4, 4), dtype=int), np.full((4, 4), IGNORE_LABEL))
-        with pytest.raises(MetricError, match="undefined"):
+        with pytest.raises(DataError, match="undefined"):
             miou_from_confusion(cm)
 
     @given(st.integers(0, 2**32 - 1))

@@ -85,3 +85,20 @@ def test_config_dataclasses_define_no_property():
             ]
     assert found == CONFIG_CLASSES, "a config class moved or was renamed"
     assert not properties, "config dataclass properties: " + ", ".join(properties)
+
+
+def test_every_error_type_has_an_exit_code():
+    """cli.main names each exception class of errors.py in an except clause, so
+    none reaches the user as a traceback."""
+    statements = list(_top_level_statements())
+    errors = {node.name for module, node in statements if module == "errors.py" and isinstance(node, ast.ClassDef)}
+    (main,) = [node for module, node in statements if module == "cli.py" and isinstance(node, ast.FunctionDef) and node.name == "main"]
+    caught = {
+        n.id
+        for handler in ast.walk(main)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for n in ast.walk(handler.type)
+        if isinstance(n, ast.Name)
+    }
+    assert errors, "errors.py defines no exception class"
+    assert errors <= caught, "not caught in cli.main: " + ", ".join(sorted(errors - caught))

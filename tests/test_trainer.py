@@ -39,7 +39,7 @@ from codistill.trainer import (
 from golden import step_tape
 
 MICRO = ArchConfig(input_hw=(16, 16), num_classes=3, cnn_channels=(4, 6, 8), vit_dims=(6, 8, 10), patch_size=2, num_heads=2)
-SPEC = SynthSpec(height=16, width=16, num_classes=3, noise=0.05, seed=0)
+SPEC = SynthSpec(size=16, classes=3, noise=0.05, seed=0)
 
 
 def micro_tcfg(**kw):
@@ -499,6 +499,18 @@ class TestRunTraining:
         save_checkpoint(path, MICRO, state.params_c, state.params_v, state.adapters)
         write_archive(path, [(n, np.array(value) if n == name else arr) for n, arr in read_archive(path).items()])
         with pytest.raises(DataError, match="bad architecture config"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value", [("vit/s1_wq", np.nan), ("cnn/head_w", np.inf), ("adapter_cl/bias", -np.inf)])
+    def test_non_finite_parameter_raises_data_error(self, tmp_path, name, value):
+        state = make_train_state(MICRO, micro_tcfg())
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, MICRO, state.params_c, state.params_v, state.adapters)
+        records = read_archive(path)
+        records[name] = records[name].copy()
+        records[name].flat[0] = value
+        write_archive(path, list(records.items()))
+        with pytest.raises(DataError, match=f"record {name} holds a non-finite value"):
             load_checkpoint(path)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
