@@ -140,6 +140,12 @@ def _check_dataset(dataset, where, acfg) -> None:
             raise DataError(f"{where}: label {bad[0]} outside [0, {acfg.num_classes}) and not the ignore label {IGNORE_LABEL}")
 
 
+def _check_labelled(dataset, where) -> None:
+    """The set has a pixel to evaluate: mIoU on it is defined."""
+    if all((labels == IGNORE_LABEL).all() for _, labels in dataset):
+        raise DataError(f"{where}: every pixel has the ignore label {IGNORE_LABEL}, so mIoU is undefined")
+
+
 def _prepare(args) -> tuple:
     """((train set, eval set or None), ArchConfig, TrainConfig) for a training
     command, with both sets checked against the configuration."""
@@ -151,8 +157,7 @@ def _prepare(args) -> tuple:
             _check_dataset(dataset, path, acfg)
     # run_training evaluates on the eval set, else on the training set
     eval_on, eval_path = (train_set, args.data) if eval_set is None else (eval_set, args.eval_data)
-    if all((labels == IGNORE_LABEL).all() for _, labels in eval_on):
-        raise DataError(f"{eval_path}: every pixel has the ignore label {IGNORE_LABEL}, so mIoU is undefined")
+    _check_labelled(eval_on, eval_path)
     return (train_set, eval_set), acfg, tcfg
 
 
@@ -173,6 +178,7 @@ def cmd_eval(args) -> int:
     acfg, params_c, params_v, _ = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
     _check_dataset(dataset, args.data, acfg)
+    _check_labelled(dataset, args.data)
     miou_c, miou_v = evaluate(params_c, params_v, acfg, dataset)
     print(f"miou_c={miou_c:.9g} miou_v={miou_v:.9g}")
     return 0

@@ -338,25 +338,32 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
 
-def gelu(x):
-    """Tanh-form gelu; smooth, so finite differences check cleanly.
-
-    Computed in place on arrays this op allocates, in the operation order
-    of 0.5 v (1 + tanh(c (v + a v² v))); only v and the tanh are kept.
-    """
-    x = _lift(x)
-    v = x.data
+def _gelu_tanh(v):
+    """tanh(c (v + a v² v)), computed in place on one new array."""
     t = v * v
     t *= _GELU_A
     t *= v
     t += v
     t *= _GELU_C
-    np.tanh(t, out=t)
+    return np.tanh(t, out=t)
+
+
+def gelu(x):
+    """Tanh-form gelu; smooth, so finite differences check cleanly.
+
+    Computed in place on arrays this op allocates, in the operation order
+    of 0.5 v (1 + tanh(c (v + a v² v))). Only v is kept: the backward
+    rebuilds the tanh from it in the same order, so it is bit for bit the
+    forward's.
+    """
+    x = _lift(x)
+    v = x.data
     out = 0.5 * v
-    out *= 1.0 + t
+    out *= 1.0 + _gelu_tanh(v)
 
     def backward(g):
         # g * (0.5 (1 + t) + 0.5 v (1 - t²) c (1 + 3 a v²))
+        t = _gelu_tanh(v)
         du = v * v
         du *= 3.0 * _GELU_A
         du += 1.0
@@ -472,6 +479,20 @@ def matmul(a, b):
     return _make(a.data @ b.data, (a, b), backward)
 
 
+def _windows(xd, k, stride, padding):
+    """The k×k windows of a (...×)C×H×W array as a ...×C×k×k×H_out×W_out
+    view (of x itself where the windows tile it, else of the padded input
+    with the leading axes flattened): conv2d's column matrix, unreshaped."""
+    c, h, wid = xd.shape[-3:]
+    if k == stride and padding == 0:
+        nl = xd.ndim - 3
+        split = xd.reshape(*xd.shape[:-2], h // k, k, wid // k, k)
+        return split.transpose(*range(nl + 1), nl + 2, nl + 4, nl + 1, nl + 3)
+    xb = xd.reshape(-1, c, h, wid)
+    xp = np.pad(xb, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xb
+    return sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
+
+
 def conv2d(x, w, stride=1, padding=0):
     """Cross-correlation of a (...×)C×H×W input with an O×C×k×k kernel.
 
@@ -499,26 +520,29 @@ def conv2d(x, w, stride=1, padding=0):
         )
     lead, nl = x.shape[:-3], x.ndim - 3
     tile = k == stride and padding == 0
-    if tile:
-        # the windows tile the input: the column matrix is a reshape/transpose
-        # of x, and each input pixel gets exactly one column entry back
-        split = x.data.reshape(*lead, c_in, h_out, k, w_out, k)
-        cols = split.transpose(*range(nl), nl, nl + 2, nl + 4, nl + 1, nl + 3).reshape(-1, c_in * k * k, h_out * w_out)
-    else:
-        xb = x.data.reshape(-1, c_in, h, wid)
-        xp = np.pad(xb, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xb
-        win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(-1, c_in * k * k, h_out * w_out)
-    n = cols.shape[0]
+    win = _windows(x.data, k, stride, padding)
+    n = math.prod(win.shape[:-5])
     wm = w.data.reshape(c_out, -1)
-    data = (wm @ cols).reshape(*lead, c_out, h_out, w_out)
-    # backward reads the columns for gw, and the kernel and x's shape and layout for gx
-    cols = cols if w.requires_grad else None
+    data = (wm @ win.reshape(n, c_in * k * k, h_out * w_out)).reshape(*lead, c_out, h_out, w_out)
+    # backward keeps x, not the column matrix, and rebuilds the columns from
+    # it for gw; for gx it keeps the kernel and x's shape and layout
+    xd = x.data if w.requires_grad else None
     x_shape, x_strides = (x.shape, x.data.strides) if x.requires_grad else (None, None)
 
     def backward(g):
         gm = g.reshape(n, c_out, h_out * w_out)
-        gw = None if cols is None else np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(c_out, c_in, k, k)
+        gw = None
+        if xd is not None:
+            # np.tensordot(gm, columns)'s operand, made straight from x: an
+            # (n·h_out·w_out, c·k·k) copy, or for one image the columns'
+            # transposed view, which BLAS sums in another order
+            win = _windows(xd, k, stride, padding)
+            if n == 1:
+                rows = win.reshape(c_in * k * k, -1).T
+            else:
+                d = win.ndim
+                rows = win.transpose(*range(d - 5), d - 2, d - 1, d - 5, d - 4, d - 3).reshape(-1, c_in * k * k)
+            gw = np.dot(gm.transpose(1, 0, 2).reshape(c_out, -1), rows).reshape(c_out, c_in, k, k)
         if x_shape is None:
             return None, gw
         gcols = (wm.T @ gm).reshape(n, c_in, k, k, h_out, w_out)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import codistill
-from codistill import recordio, trainer
+from codistill import cli, recordio, trainer
 from codistill.cli import _KEYS, _parse_bool, _parse_ints, main, make_parser, parse_config_file, resolve_configs
 from codistill.data import SynthSpec, generate_dataset, load_dataset, save_dataset
 from codistill.errors import ConfigError
@@ -561,6 +561,20 @@ class TestBadDataset:
             argv[0:1] = ["sweep", "--param", "gamma", "--values", "1"]
         assert_exit_2(argv, capsys, f"{blank}: every pixel has the ignore label {IGNORE_LABEL}")
         assert not (tmp_path / "run").exists()
+
+    def test_eval_on_a_set_with_no_labelled_pixel(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        """eval rejects an all-ignored set naming it, before it evaluates anything."""
+        out, blank = tmp_path / "run", tmp_path / "all_ignored"
+        assert main(train_args(dataset_dir, out, steps=1)) == 0
+        monkeypatch.setattr(cli, "evaluate", lambda *args: pytest.fail("eval evaluated an all-ignored set"))
+        records = read_archive(dataset_dir)
+        write_archive(blank, [("images", records["images"]), ("labels", np.full_like(records["labels"], IGNORE_LABEL))])
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "ckpt_final.bin"), "--data", str(blank)]) == 2
+        captured = capsys.readouterr()
+        assert "miou_c=" not in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and f"{blank}: every pixel has the ignore label {IGNORE_LABEL}, so mIoU is undefined" in err[0]
 
     def test_unlabelled_training_set_with_a_labelled_eval_set_runs(self, dataset_dir, tmp_path):
         records = read_archive(dataset_dir)

@@ -67,6 +67,64 @@ class TestConv2d:
         ref, _ = T.conv2d(Tensor(np.ascontiguousarray(x), requires_grad=True), w, stride=k)._node._backward(g)
         np.testing.assert_array_equal(gx, ref)
 
+    @pytest.mark.parametrize(
+        "shape, c_out, k, stride, padding",
+        [((8, 3, 32, 32), 16, 4, 2, 1), ((8, 16, 8, 8), 32, 2, 2, 0)],
+        ids=["conv1", "tile"],
+    )
+    def test_backward_keeps_x_not_its_columns(self, shape, c_out, k, stride, padding):
+        """With a tracked kernel the closure keeps x itself for gw, and no
+        array as large as x besides it: the column matrix is rebuilt from x."""
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.standard_normal(shape))
+        w = Tensor(rng.standard_normal((c_out, shape[1], k, k)), requires_grad=True)
+        out = T.conv2d(x, w, stride=stride, padding=padding)
+        held = [c.cell_contents for c in out._node._backward.__closure__]
+        big = [a for a in held if isinstance(a, np.ndarray) and a.size >= x.data.size]
+        assert [a is x.data for a in big] == [True]
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)])
+    @pytest.mark.parametrize("k, stride, padding", [(4, 2, 1), (2, 2, 0)])
+    def test_kernel_gradient_is_the_column_gemm(self, lead, k, stride, padding):
+        """gw is bit for bit np.tensordot over a loop-built column matrix,
+        one image or several."""
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal((*lead, 3, 8, 8))
+        w = rng.standard_normal((5, 3, k, k))
+        out = T.conv2d(Tensor(x), Tensor(w, requires_grad=True), stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        _, gw = out._node._backward(g)
+        xp = np.pad(x.reshape(-1, 3, 8, 8), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        side = out.shape[-1]
+        cols = np.empty((xp.shape[0], 3, k, k, side, side))
+        for i in range(k):
+            for j in range(k):
+                cols[:, :, i, j] = xp[:, :, i : i + stride * side : stride, j : j + stride * side : stride]
+        cols = cols.reshape(xp.shape[0], 3 * k * k, side * side)
+        want = np.tensordot(g.reshape(xp.shape[0], 5, -1), cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+        assert gw.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k, stride, padding", [(4, 2, 1), (3, 1, 1), (2, 2, 0), (1, 1, 0)])
+    def test_gradients_on_a_transposed_input_match_contiguous(self, k, stride, padding):
+        """gw and gx read x's values, not its layout: a channels-last view
+        gives the bits a contiguous copy gives."""
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((4, 8, 8, 3)).transpose(0, 3, 1, 2)
+        w = rng.standard_normal((5, 3, k, k))
+        outs = [T.conv2d(Tensor(xi, requires_grad=True), Tensor(w, requires_grad=True), stride=stride, padding=padding) for xi in (x, np.ascontiguousarray(x))]
+        g = rng.standard_normal(outs[0].shape)
+        (gx, gw), (gx_ref, gw_ref) = (out._node._backward(g) for out in outs)
+        assert gx.tobytes() == gx_ref.tobytes() and gw.tobytes() == gw_ref.tobytes()
+
+
+class TestGelu:
+    def test_backward_keeps_only_its_input(self):
+        """The closure holds v and nothing else of its size: the tanh is rebuilt."""
+        x = Tensor(np.random.default_rng(5).standard_normal((8, 64, 32)), requires_grad=True)
+        out = T.gelu(x)
+        held = [c.cell_contents for c in out._node._backward.__closure__]
+        assert [a.shape for a in held if isinstance(a, np.ndarray) and a.size >= x.data.size] == [x.shape]
+
 
 def _softmax_rows(x):
     """softmax along the last axis as attention(x, I, I): q kᵀ = x and P v = P."""
