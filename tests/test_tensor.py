@@ -283,6 +283,74 @@ class TestAvgPool:
         with pytest.raises(ShapeError, match="tile"):
             T.avg_pool2d(Tensor(np.zeros((1, 5, 5))), 2)
 
+    @pytest.mark.parametrize("shape, k", [((8, 24, 8, 8), 2), ((2, 3, 12, 12), 3), ((3, 16, 16), 4), ((1, 2, 14, 7), 7)])
+    def test_tile_adds_match_the_window_mean(self, shape, k):
+        # the program pools by k = 2, where numpy's window mean sums each
+        # tile row, then the rows, as the tile adds do: the same bits
+        x = np.random.default_rng(k).standard_normal(shape)
+        h, w = shape[-2:]
+        want = x.reshape(*shape[:-2], h // k, k, w // k, k).mean(axis=(-3, -1))
+        got = T.avg_pool2d(Tensor(x), k).data
+        if k == 2:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+# stage shapes of the default ViT: tokens (batch, T, dim) per stage
+STAGE_TOKENS = [(8, 256, 16), (8, 64, 32), (8, 16, 48)]
+
+
+def _within(got, want, rel=1e-12):
+    """Max-norm relative closeness: |got - want| <= rel * max |want| everywhere."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestGemvSums:
+    """The GEMV row means and leading-axis sums against plain float64 formulas and np.sum."""
+
+    @staticmethod
+    def _inputs(shape, contiguous, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape) * 3.0 + 0.5
+        g = rng.standard_normal(shape)
+        if not contiguous:  # same values, transposed layout
+            x = np.ascontiguousarray(np.swapaxes(x, 0, 1)).swapaxes(0, 1)
+            g = np.ascontiguousarray(np.swapaxes(g, 0, 1)).swapaxes(0, 1)
+        return x, g
+
+    @pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "transposed"])
+    @pytest.mark.parametrize("shape", STAGE_TOKENS + [(5, 7)])
+    def test_layer_norm_matches_the_plain_formulas(self, shape, contiguous):
+        x, g = self._inputs(shape, contiguous, seed=shape[-1])
+        rng = np.random.default_rng(1)
+        gain, bias = rng.standard_normal(shape[-1]), rng.standard_normal(shape[-1])
+        out = T.layer_norm(Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True), Tensor(bias, requires_grad=True))
+        gx, ggain, gbias = out._node._backward(g)
+
+        lead = tuple(range(len(shape) - 1))
+        sd = np.sqrt(x.var(axis=-1, keepdims=True) + T._LN_EPS)
+        xhat = (x - x.mean(axis=-1, keepdims=True)) / sd
+        dxhat = g * gain
+        want_gx = (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / sd
+        _within(out.data, xhat * gain + bias)
+        _within(gx, want_gx)
+        _within(ggain, np.sum(g * xhat, axis=lead))
+        _within(gbias, np.sum(g, axis=lead))
+
+    @pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "transposed"])
+    @pytest.mark.parametrize(
+        "shape, target",
+        [((8, 256, 32), (32,)), ((8, 16, 16, 16), (16, 1, 1)), ((8, 48, 4, 4), (48, 1, 1)), ((4, 6), ()), ((3, 5, 7), (5, 7))],
+    )
+    def test_unbroadcast_matches_np_sum(self, shape, target, contiguous):
+        g, _ = self._inputs(shape, contiguous, seed=len(shape))
+        extra = len(shape) - len(target)
+        kept = tuple(extra + i for i, n in enumerate(target) if n == 1)
+        want = np.sum(g, axis=tuple(range(extra)) + kept).reshape(target)
+        _within(T._unbroadcast(g, target), want)
+
 
 class TestDetach:
     def test_detached_factor_gets_zero_grad(self):

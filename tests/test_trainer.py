@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import subprocess
@@ -26,6 +27,7 @@ from codistill.trainer import (
     adamw_update,
     evaluate,
     format_metrics_line,
+    gradient_runs,
     load_checkpoint,
     make_train_state,
     parse_metrics_line,
@@ -105,6 +107,116 @@ class TestUpdateRules:
             q_s = q_s - alr * awd * q_s - alr * mh / (math.sqrt(vh) + eps)
             q_a, m1_a, m2_a = adamw_update(q_a, np.array([g]), m1_a, m2_a, t, alr, b1, b2, eps, awd)
         np.testing.assert_allclose(q_a[0], q_s, rtol=1e-12)
+
+
+class PerTensorSgd:
+    """The per-tensor SGD the flat optimizer replaces: the written rule, one dict entry per tensor."""
+
+    def __init__(self, named_params, lr):
+        self.params = list(named_params)
+        self.lr = lr
+        self.velocity = {name: np.zeros_like(p.data) for name, p in self.params}
+
+    def step(self):
+        for name, p in self.params:
+            if p.grad is not None:
+                p.data, self.velocity[name] = sgd_momentum_update(
+                    p.data, p.grad, self.velocity[name], self.lr, trainer.SGD_MOMENTUM, trainer.SGD_WEIGHT_DECAY
+                )
+
+
+class PerTensorAdamW:
+    """The per-tensor AdamW the flat optimizer replaces."""
+
+    def __init__(self, named_params, lr):
+        self.params = list(named_params)
+        self.lr = lr
+        self.m1 = {name: np.zeros_like(p.data) for name, p in self.params}
+        self.m2 = {name: np.zeros_like(p.data) for name, p in self.params}
+        self.t = 0
+
+    def step(self):
+        self.t += 1
+        for name, p in self.params:
+            if p.grad is not None:
+                p.data, self.m1[name], self.m2[name] = adamw_update(
+                    p.data, p.grad, self.m1[name], self.m2[name], self.t, self.lr,
+                    trainer.ADAMW_BETA1, trainer.ADAMW_BETA2, trainer.ADAMW_EPS, trainer.ADAMW_WEIGHT_DECAY,
+                )
+
+
+def _param_bytes(state):
+    return [p.data.tobytes() for _, p in trainer._param_records(state.params_c, state.params_v, state.adapters)]
+
+
+class TestFlatOptimizers:
+    """The flat-state optimizers equal the per-tensor rules bit for bit."""
+
+    @pytest.mark.parametrize("flat_cls, ref_cls", [(SgdMomentum, PerTensorSgd), (AdamW, PerTensorAdamW)], ids=["sgd", "adamw"])
+    def test_gradless_tensor_in_the_middle(self, flat_cls, ref_cls):
+        rng = np.random.default_rng(0)
+        shapes = [(3, 4), (5,), (2, 2, 2), (6,)]
+        values = [rng.standard_normal(s) for s in shapes]
+        sides = []
+        for cls in (flat_cls, ref_cls):
+            tensors = [Tensor(v.copy(), requires_grad=True) for v in values]
+            sides.append((cls([(f"t{i}", t) for i, t in enumerate(tensors)], 0.05), tensors))
+        for _ in range(3):
+            grads = [None if i == 1 else rng.standard_normal(s) for i, s in enumerate(shapes)]
+            for opt, tensors in sides:
+                for t, g in zip(tensors, grads):
+                    t.grad = g
+                opt.step()
+        (flat, got), (_, want) = sides
+        assert [len(run[1]) for run in gradient_runs(flat.params)] == [1, 2]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.data, b.data)
+            assert a.data.shape == b.data.shape
+        np.testing.assert_array_equal(got[1].data, values[1])
+        for name in ("velocity", "m1", "m2"):
+            if hasattr(flat, name):
+                np.testing.assert_array_equal(getattr(flat, name)[12:17], 0.0)  # t1's slice never moved
+
+    @staticmethod
+    def _reference(tcfg):
+        state = make_train_state(MICRO, tcfg)
+        state.opt_c = PerTensorSgd(state.opt_c.params, tcfg.sgd_lr)
+        state.opt_v = PerTensorAdamW(state.opt_v.params, tcfg.adamw_lr)
+        return state
+
+    def test_beta_zero_splits_the_runs(self, dataset):
+        # at beta = 0 adapter_c1 and adapter_v1 get no gradient, so each
+        # optimizer updates two runs around them
+        tcfg = micro_tcfg(beta=0.0)
+        flat, ref = make_train_state(MICRO, tcfg), self._reference(tcfg)
+        for i in range(3):
+            for state in (flat, ref):
+                train_step(dataset[2 * i : 2 * i + 2], state, tcfg)
+            assert _param_bytes(flat) == _param_bytes(ref)
+        for opt, gradless in ((flat.opt_c, "adapter_c1"), (flat.opt_v, "adapter_v1")):
+            runs = gradient_runs(opt.params)
+            updated = {id(t) for _, tensors, _ in runs for t in tensors}
+            assert len(runs) == 2
+            assert [name for name, p in opt.params if id(p) not in updated] == [f"{gradless}/weight", f"{gradless}/bias"]
+
+    def test_deep_copy_steps_like_the_original(self, dataset):
+        # after a step every parameter is a view of the optimizer's fresh
+        # array; deepcopy makes each view its own array, so the copy must not
+        # rely on the views sharing a buffer, and stepping it must leave the
+        # original alone
+        tcfg = micro_tcfg()
+        flat, ref = make_train_state(MICRO, tcfg), self._reference(tcfg)
+        for state in (flat, ref):
+            train_step(dataset[:2], state, tcfg)
+        twin = copy.deepcopy(flat)
+        held = [p.data for _, p in trainer._param_records(flat.params_c, flat.params_v, flat.adapters)]
+        kept = [a.copy() for a in held]
+        for i in (1, 2):
+            for state in (flat, twin, ref):
+                train_step(dataset[2 * i : 2 * i + 2], state, tcfg)
+            assert _param_bytes(twin) == _param_bytes(flat) == _param_bytes(ref)
+        for a, b in zip(held, kept):  # no step wrote into an array a tensor held
+            np.testing.assert_array_equal(a, b)
 
 
 class TestTotalObjective:
@@ -321,25 +433,36 @@ class TestTrainStep:
         with pytest.raises(TrainingError, match=r"non-finite l_\w+ .*at step 1"):
             train_step(dataset[:2], state, tcfg)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_gradient_stops_before_any_update(self, dataset, monkeypatch):
+    @staticmethod
+    def _overflow_gradient(dataset, monkeypatch, student, name):
+        """A step whose one tensor gets a NaN gradient must raise naming it and move nothing."""
         tcfg = micro_tcfg(steps=1)
         state = make_train_state(MICRO, tcfg)
 
-        def overflowing_objective(out_c, out_v, labels, params_c, *rest):
+        def overflowing_objective(out_c, out_v, labels, params_c, params_v, *rest):
             # finite value (0 / 1e-320 is 0) whose gradient is inf * 0 = nan
-            loss_c, loss_v, parts = total_objective(out_c, out_v, labels, params_c, *rest)
-            return loss_c + div(params_c["head_b"].sum() * 0.0, 1e-320), loss_v, parts
+            loss_c, loss_v, parts = total_objective(out_c, out_v, labels, params_c, params_v, *rest)
+            if student == "cnn":
+                return loss_c + div(params_c[name].sum() * 0.0, 1e-320), loss_v, parts
+            return loss_c, loss_v + div(params_v[name].sum() * 0.0, 1e-320), parts
 
         monkeypatch.setattr(trainer, "total_objective", overflowing_objective)
         params = [*state.params_c.values(), *state.params_v.values()]
         params += [p for _, p in state.adapters.cnn_side() + state.adapters.vit_side()]
         before = [p.data.copy() for p in params]
-        with pytest.raises(TrainingError, match=r"non-finite gradient for cnn/head_b at step 1"):
+        with pytest.raises(TrainingError, match=rf"non-finite gradient for {student}/{name} at step 1"):
             train_step(dataset[:2], state, tcfg)
         for p, data in zip(params, before):
             np.testing.assert_array_equal(p.data, data)
         assert state.step == 0 and state.opt_v.t == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_stops_before_any_update(self, dataset, monkeypatch):
+        self._overflow_gradient(dataset, monkeypatch, "cnn", "head_b")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_vit_gradient_stops_before_any_update(self, dataset, monkeypatch):
+        self._overflow_gradient(dataset, monkeypatch, "vit", "s2_ln1_g")
 
 
 class TestTapeStructure:
