@@ -13,10 +13,12 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import SynthSpec, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, DataError, TrainingError
-from .losses import IGNORE_LABEL
+from .losses import IGNORE_LABEL, check_labels
 from .recordio import replacing
 from .students import ArchConfig
 from .trainer import TrainConfig, evaluate, load_checkpoint, run_training
@@ -134,10 +136,10 @@ def _check_dataset(dataset, where, acfg) -> None:
     h, w = dataset[0][0].shape[1:]
     if (h, w) != acfg.input_hw:
         raise DataError(f"{where}: images are {h}x{w}, expected {acfg.input_hw[0]}x{acfg.input_hw[1]}")
-    for _, labels in dataset:
-        bad = labels[(labels >= acfg.num_classes) & (labels != IGNORE_LABEL)]
-        if bad.size:
-            raise DataError(f"{where}: label {bad[0]} outside [0, {acfg.num_classes}) and not the ignore label {IGNORE_LABEL}")
+    try:
+        check_labels(np.stack([labels for _, labels in dataset]), acfg.num_classes)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
 
 
 def _check_labelled(dataset, where) -> None:
@@ -147,25 +149,24 @@ def _check_labelled(dataset, where) -> None:
 
 
 def _prepare(args) -> tuple:
-    """((train set, eval set or None), ArchConfig, TrainConfig) for a training
-    command, with both sets checked against the configuration."""
+    """((train set, eval set, eval set's path), ArchConfig, TrainConfig) for a
+    training command, with both sets checked against the configuration."""
     train_set = load_dataset(args.data)
-    eval_set = load_dataset(args.eval_data) if args.eval_data else None
+    # without --eval-data a run evaluates on its training set, the same list
+    eval_set, eval_path = (load_dataset(args.eval_data), args.eval_data) if args.eval_data else (train_set, args.data)
     acfg, tcfg = resolve_configs(args, train_set[0][0].shape[1:])
-    for dataset, path in ((train_set, args.data), (eval_set, args.eval_data)):
-        if dataset is not None:
-            _check_dataset(dataset, path, acfg)
-    # run_training evaluates on the eval set, else on the training set
-    eval_on, eval_path = (train_set, args.data) if eval_set is None else (eval_set, args.eval_data)
-    _check_labelled(eval_on, eval_path)
-    return (train_set, eval_set), acfg, tcfg
+    _check_dataset(train_set, args.data, acfg)
+    if eval_set is not train_set:
+        _check_dataset(eval_set, eval_path, acfg)
+    _check_labelled(eval_set, eval_path)
+    return (train_set, eval_set, eval_path), acfg, tcfg
 
 
-def _run_one_training(args, datasets, acfg, tcfg, out_dir):
+def _run_one_training(args, sets, acfg, tcfg, out_dir):
+    train_set, eval_set, eval_path = sets
     out_dir = _out_dir(out_dir)
-    meta = {"data": args.data, "eval_data": args.eval_data or args.data, "out": out_dir}
-    write_manifest(out_dir / "manifest.txt", acfg, tcfg, meta)
-    return run_training(*datasets, acfg, tcfg, out_dir=out_dir)
+    write_manifest(out_dir / "manifest.txt", acfg, tcfg, {"data": args.data, "eval_data": eval_path, "out": out_dir})
+    return run_training(train_set, eval_set, acfg, tcfg, out_dir)
 
 
 def cmd_train(args) -> int:
@@ -179,7 +180,10 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     _check_dataset(dataset, args.data, acfg)
     _check_labelled(dataset, args.data)
-    miou_c, miou_v = evaluate(params_c, params_v, acfg, dataset)
+    try:
+        miou_c, miou_v = evaluate(params_c, params_v, acfg, dataset)
+    except FloatingPointError as exc:
+        raise DataError(f"{args.data}: {exc} evaluating the checkpoint on this --data set") from None
     print(f"miou_c={miou_c:.9g} miou_v={miou_v:.9g}")
     return 0
 
@@ -188,14 +192,14 @@ _TOGGLE_GRID = [(h, r, p) for h in (False, True) for r in (False, True) for p in
 
 
 def cmd_ablate(args) -> int:
-    datasets, acfg, base = _prepare(args)
+    sets, acfg, base = _prepare(args)
     out_dir = Path(args.out)
     rows = []
     for hfd, region, pixel in _TOGGLE_GRID:
         # a component is off when its weight is 0; region BSD keeps its toggle
         tcfg = replace(base, beta=base.beta if hfd else 0.0, alpha=base.alpha if pixel else 0.0, region_bsd_on=region)
         cell = out_dir / f"cell_hfd{int(hfd)}_r{int(region)}_p{int(pixel)}"
-        result = _run_one_training(args, datasets, acfg, tcfg, cell)
+        result = _run_one_training(args, sets, acfg, tcfg, cell)
         rows.append((hfd, region, pixel, result.miou_c, result.miou_v))
     base_sum = rows[0][3] + rows[0][4]  # all-off cell
     header = "hfd\tregion\tpixel\tmiou_c\tmiou_v\tdelta"
@@ -210,7 +214,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    datasets, acfg, base = _prepare(args)
+    sets, acfg, base = _prepare(args)
     out_dir = Path(args.out)
     raw = [v.strip() for v in args.values.split(",") if v.strip() != ""]
     try:
@@ -227,12 +231,12 @@ def cmd_sweep(args) -> int:
         cell_names[name] = text
     vanilla = replace(base, beta=0.0, gamma=0.0)
     cells = [(value, replace(base, **{args.param: value})) for value in points]  # every config is checked before any run
-    result_v = _run_one_training(args, datasets, acfg, vanilla, out_dir / "vanilla")
+    result_v = _run_one_training(args, sets, acfg, vanilla, out_dir / "vanilla")
     base_sum = result_v.miou_c + result_v.miou_v
     lines = [f"{args.param}\tmiou_c\tmiou_v\tdelta"]
     for value, tcfg in cells:
         cell = out_dir / f"{args.param}_{value:g}"
-        result = _run_one_training(args, datasets, acfg, tcfg, cell)
+        result = _run_one_training(args, sets, acfg, tcfg, cell)
         lines.append(f"{value:g}\t{result.miou_c:.9g}\t{result.miou_v:.9g}\t{result.miou_c + result.miou_v - base_sum:.9g}")
     table = "\n".join(lines)
     (out_dir / f"sweep_{args.param}.tsv").write_text(table + "\n")
@@ -293,8 +297,11 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, DataError, OSError) as exc:
+        # overflow, invalid operations and division by zero raise instead of
+        # warning; underflow stays silent, as attention's exp underflows by design
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (ConfigError, DataError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

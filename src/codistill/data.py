@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .losses import IGNORE_LABEL
+from .losses import IGNORE_LABEL, check_labels
 from .recordio import read_archive, write_archive
 from .seeding import substream
 
@@ -120,13 +120,13 @@ def load_dataset(path):
 
 def update_confusion(cm: np.ndarray, pred_labels: np.ndarray, gt_labels: np.ndarray) -> np.ndarray:
     """Add the pixel counts into cm, a K×K int64 array (rows = ground truth,
-    cols = prediction), and return it."""
+    cols = prediction), and return it. Predictions are an argmax over the K
+    classes, so only the ground truth is checked."""
     k = cm.shape[0]
+    check_labels(gt_labels, k)
     valid = gt_labels != IGNORE_LABEL
     gt = gt_labels[valid].astype(int)
     pred = pred_labels[valid].astype(int)
-    if gt.size and (gt.min() < 0 or gt.max() >= k or pred.min() < 0 or pred.max() >= k):
-        raise DataError(f"labels outside [0, {k}) in confusion update")
     cm += np.bincount(gt * k + pred, minlength=k * k).reshape(k, k)
     return cm
 

@@ -22,6 +22,14 @@ IGNORE_LABEL = 255
 COSINE_EPS = 1e-8
 
 
+def check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """Every label is a class in [0, num_classes) or the ignore label; the
+    first that is neither raises DataError."""
+    bad = labels[(labels != IGNORE_LABEL) & ((labels < 0) | (labels >= num_classes))]
+    if bad.size:
+        raise DataError(f"label {bad[0]} outside [0, {num_classes}) and not the ignore label {IGNORE_LABEL}")
+
+
 def pixel_ce(log_probs: Tensor, labels: np.ndarray):
     """Mean cross-entropy of (N×)K×H×W log-probabilities against (N×)H×W labels.
 
@@ -36,11 +44,8 @@ def pixel_ce(log_probs: Tensor, labels: np.ndarray):
     labels = np.asarray(labels)
     if labels.shape != log_probs.shape[:-3] + log_probs.shape[-2:]:
         raise DataError(f"labels {labels.shape} do not match log-probabilities {tuple(log_probs.shape)}")
+    check_labels(labels, k)
     valid = labels != IGNORE_LABEL
-    bad = valid & ((labels < 0) | (labels >= k))
-    if bad.any():
-        offender = int(labels[bad].flat[0])
-        raise DataError(f"label {offender} out of range for {k} classes")
     classes = np.arange(k).reshape(k, 1, 1)
     onehot = ((labels[..., None, :, :] == classes) & valid[..., None, :, :]).astype(np.float64)
     ce_map = -(log_probs * onehot).sum(axis=-3)

@@ -553,20 +553,15 @@ def conv2d(x, w, stride=1, padding=0):
         gm = g.reshape(n, c_out, h_out * w_out)
         gw = None
         if xd is not None:
-            # np.tensordot(gm, columns)'s operand, made straight from x: an
-            # (n·h_out·w_out, c·k·k) copy, or for one image the columns'
-            # transposed view, which BLAS sums in another order
-            if n == 1:
-                rows = _windows(xd, k, stride, padding).reshape(c_in * k * k, -1).T
-            else:
-                # two copies, each with long inner runs, beat one straight to
-                # the rows, whose innermost axes are k long: the columns, then
-                # their transpose (at batch 8, 59 against 90 µs on conv1's
-                # shapes, 17 against 43 µs on the patch embedding's); one
-                # expression, so neither the padded input nor the columns is
-                # held through the GEMM, where conv1's gw sets the CE-only
-                # step's peak
-                rows = np.ascontiguousarray(_windows(xd, k, stride, padding)).reshape(n, c_in * k * k, -1).transpose(0, 2, 1).reshape(-1, c_in * k * k)
+            # np.tensordot(gm, columns)'s operand, an (n·h_out·w_out, c·k·k)
+            # copy made straight from x. Two copies, each with long inner
+            # runs, beat one straight to the rows, whose innermost axes are k
+            # long: the columns, then their transpose (at batch 8, 59 against
+            # 90 µs on conv1's shapes, 17 against 43 µs on the patch
+            # embedding's); one expression, so neither the padded input nor
+            # the columns is held through the GEMM, where conv1's gw sets the
+            # CE-only step's peak
+            rows = np.ascontiguousarray(_windows(xd, k, stride, padding)).reshape(n, c_in * k * k, -1).transpose(0, 2, 1).reshape(-1, c_in * k * k)
             gw = np.dot(gm.transpose(1, 0, 2).reshape(c_out, -1), rows).reshape(c_out, c_in, k, k)
         if x_shape is None:
             return None, gw

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import groupby
+from itertools import chain, count, groupby, islice
 from pathlib import Path
 
 import numpy as np
@@ -409,49 +409,36 @@ class RunResult:
     miou_v: float
 
 
-def run_training(train_set, eval_set, acfg: ArchConfig, tcfg: TrainConfig, out_dir=None) -> RunResult:
-    """Run tcfg.steps collaborative steps; optionally write metrics/checkpoints.
+def run_training(train_set, eval_set, acfg: ArchConfig, tcfg: TrainConfig, out_dir) -> RunResult:
+    """Run tcfg.steps collaborative steps, writing the run into out_dir.
 
-    Batch order comes from the `shuffle` sub-stream of the seed: epochs of
-    random permutations, consumed batch_size indices at a time. Evaluation
-    runs every eval_every steps and always at the final step, on eval_set
-    when given and on the training set otherwise.
+    out_dir gets metrics.log (a header, then a line per completed step),
+    ckpt_NNNNNN.bin every checkpoint_every steps (0: never) and
+    ckpt_final.bin after the last step. Batch order comes from the `shuffle`
+    sub-stream of the seed: epochs of random permutations, consumed
+    batch_size indices at a time. Evaluation on eval_set runs every
+    eval_every steps and always at the final step. A FloatingPointError
+    (numpy raises one under np.errstate, as the CLI runs) becomes a
+    TrainingError naming the step.
     """
     state = make_train_state(acfg, tcfg)
     shuffle = substream(tcfg.seed, "shuffle")
-    eval_on = eval_set if eval_set is not None else train_set
-    out_dir = Path(out_dir) if out_dir is not None else None
-    log_fh = None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        log_fh = open(out_dir / "metrics.log", "w")
-        log_fh.write(METRICS_HEADER + "\n")
-
-    def index_stream():
-        while True:
-            for i in shuffle.permutation(len(train_set)):
-                yield int(i)
-
-    indices = index_stream()
+    indices = chain.from_iterable(shuffle.permutation(len(train_set)) for _ in count())
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    miou_c = miou_v = float("nan")
-    try:
+    with open(out_dir / "metrics.log", "w") as log:
+        log.write(METRICS_HEADER + "\n")
         for step in range(1, tcfg.steps + 1):
-            batch = [train_set[next(indices)] for _ in range(tcfg.batch_size)]
-            record = train_step(batch, state, tcfg)
-            if step % tcfg.eval_every == 0 or step == tcfg.steps:
-                miou_c, miou_v = evaluate(state.params_c, state.params_v, acfg, eval_on)
-                record["miou_c"], record["miou_v"] = miou_c, miou_v
-            else:
-                record["miou_c"] = record["miou_v"] = float("nan")
+            try:
+                record = train_step([train_set[i] for i in islice(indices, tcfg.batch_size)], state, tcfg)
+                evaluated = step % tcfg.eval_every == 0 or step == tcfg.steps
+                record["miou_c"], record["miou_v"] = evaluate(state.params_c, state.params_v, acfg, eval_set) if evaluated else (math.nan, math.nan)
+            except FloatingPointError as exc:
+                raise TrainingError(f"{exc} at step {step}") from None
             records.append({"step": step, **record})
-            if log_fh is not None:
-                log_fh.write(format_metrics_line(step, record) + "\n")
-            if out_dir is not None and tcfg.checkpoint_every and step % tcfg.checkpoint_every == 0:
+            log.write(format_metrics_line(step, record) + "\n")
+            if tcfg.checkpoint_every and step % tcfg.checkpoint_every == 0:
                 save_checkpoint(out_dir / f"ckpt_{step:06d}.bin", acfg, state.params_c, state.params_v, state.adapters)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
-    if out_dir is not None:
-        save_checkpoint(out_dir / "ckpt_final.bin", acfg, state.params_c, state.params_v, state.adapters)
-    return RunResult(state=state, records=records, miou_c=miou_c, miou_v=miou_v)
+    save_checkpoint(out_dir / "ckpt_final.bin", acfg, state.params_c, state.params_v, state.adapters)
+    return RunResult(state=state, records=records, miou_c=record["miou_c"], miou_v=record["miou_v"])

@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The end-to-end criteria
 """
 
 import math
+import tempfile
 import time
 from functools import lru_cache
 
@@ -54,9 +55,10 @@ def reference_run(seed, vanilla):
     train_set, eval_set = task_data()
     kw = dict(beta=0.0, gamma=0.0) if vanilla else {}
     tcfg = TrainConfig(seed=seed, eval_every=100, checkpoint_every=0, **kw)
-    start = time.monotonic()
-    result = run_training(train_set, eval_set, ArchConfig(), tcfg)
-    return result, time.monotonic() - start
+    with tempfile.TemporaryDirectory() as out_dir:
+        start = time.monotonic()
+        result = run_training(train_set, eval_set, ArchConfig(), tcfg, out_dir)
+        return result, time.monotonic() - start
 
 
 def test_criterion_1_gradient_suite():

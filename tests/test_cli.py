@@ -1,6 +1,7 @@
 import argparse
 import shlex
 import subprocess
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -114,6 +115,10 @@ class TestGen:
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_non_finite_noise_exits_2(self, tmp_path, capsys, noise):
         assert_exit_2(gen_args(tmp_path / "d") + ["--noise", noise], capsys, "noise must be finite")
+        assert not any(tmp_path.iterdir())
+
+    def test_overflowing_noise_exits_2(self, tmp_path, capsys):
+        assert_exit_2(gen_args(tmp_path / "d") + ["--noise", "1e308"], capsys, "overflow encountered")
         assert not any(tmp_path.iterdir())
 
     def test_gen_is_the_library(self, tmp_path):
@@ -512,6 +517,41 @@ class TestBadDataset:
         write_archive(bad, [("images", images), ("labels", records["labels"])])
         assert_exit_2(train_args(bad, tmp_path / "run", steps=1), capsys, f"{bad}: images hold a non-finite value")
         assert not (tmp_path / "run").exists()
+
+    @pytest.fixture()
+    def huge_pixel(self, dataset_dir, tmp_path):
+        """The CLI's set with 1e300 in one pixel of every image: finite, so it
+        loads, but the students' forward pass overflows on it."""
+        records = read_archive(dataset_dir)
+        images = records["images"].copy()
+        images[:, 0, 3, 3] = 1e300
+        path = tmp_path / "huge_pixel"
+        write_archive(path, [("images", images), ("labels", records["labels"])])
+        return path
+
+    @staticmethod
+    def main_without_warnings(argv, capsys):
+        """(exit code, stdout, stderr lines) of main(argv), asserting that numpy warned of nothing."""
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        return code, out, err.splitlines()
+
+    def test_eval_on_overflowing_images(self, dataset_dir, huge_pixel, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(train_args(dataset_dir, out, steps=1)) == 0
+        argv = ["eval", "--checkpoint", str(out / "ckpt_final.bin"), "--data", str(huge_pixel)]
+        code, stdout, err = self.main_without_warnings(argv, capsys)
+        assert code == 2 and stdout == ""
+        assert len(err) == 1 and err[0].startswith(f"error: {huge_pixel}: overflow") and "--data" in err[0]
+
+    def test_train_on_overflowing_images(self, huge_pixel, tmp_path, capsys):
+        code, _, err = self.main_without_warnings(train_args(huge_pixel, tmp_path / "run", steps=3), capsys)
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("training failed: overflow") and err[0].endswith(" at step 1")
 
     def test_train_on_zero_size_images(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -212,9 +212,9 @@ class TestMiou:
         np.testing.assert_array_equal(got, want)
 
     def test_out_of_range_label_rejected(self):
-        gt = np.zeros((2, 2), dtype=int)
-        with pytest.raises(DataError, match=r"labels outside \[0, 3\) in confusion update"):
-            update_confusion(np.zeros((3, 3), np.int64), np.full((2, 2), 3), gt)
+        gt = np.full((2, 2), 3)
+        with pytest.raises(DataError, match=r"label 3 outside \[0, 3\)"):
+            update_confusion(np.zeros((3, 3), np.int64), np.zeros((2, 2), dtype=int), gt)
 
     def test_predict_labels_argmax(self):
         logits = np.zeros((3, 2, 2))

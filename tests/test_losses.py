@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codistill import cli
+from codistill.data import update_confusion
 from codistill.errors import DataError
 from codistill.losses import IGNORE_LABEL, cosine_distance, kl_map, pixel_ce
+from codistill.students import ArchConfig
 from codistill.tensor import Tensor, log_softmax
 
 from gradcheck import check_grads
@@ -78,6 +81,26 @@ class TestPixelCE:
         logits = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
         labels = rng.integers(0, 3, (4, 4))
         check_grads(lambda: pixel_ce(log_softmax(logits, axis=-3), labels)[0], [logits], label="pixel_ce")
+
+
+@pytest.mark.parametrize(
+    "entry, prefix",
+    [
+        (lambda labels: pixel_ce(log_softmax(Tensor(np.zeros((3, 32, 32))), axis=-3), labels), ""),
+        (lambda labels: update_confusion(np.zeros((3, 3), np.int64), np.zeros((32, 32), int), labels), ""),
+        (lambda labels: cli._check_dataset([(np.zeros((3, 32, 32)), labels)], "set.bin", ArchConfig(num_classes=3)), "set.bin: "),
+    ],
+    ids=["pixel_ce", "update_confusion", "cli"],
+)
+def test_label_rule_has_one_message(entry, prefix):
+    """Training, evaluation and the CLI's dataset check reject a label
+    that is neither a class nor the ignore label in the same words."""
+    labels = np.zeros((32, 32), np.uint8)
+    labels[0, 0] = IGNORE_LABEL
+    labels[4, 5] = 7
+    with pytest.raises(DataError) as info:
+        entry(labels)
+    assert str(info.value) == f"{prefix}label 7 outside [0, 3) and not the ignore label {IGNORE_LABEL}"
 
 
 class TestCosineDistance:

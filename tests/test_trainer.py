@@ -345,10 +345,10 @@ class TestBatchedObjective:
 
 
 class TestTrainStep:
-    def test_determinism_bitwise_after_10_steps(self, dataset):
+    def test_determinism_bitwise_after_10_steps(self, dataset, tmp_path):
         results = []
         for _ in range(2):
-            res = run_training(dataset, None, MICRO, micro_tcfg(steps=10))
+            res = run_training(dataset, dataset, MICRO, micro_tcfg(steps=10), tmp_path)
             results.append({k: p.data.tobytes() for k, p in res.state.params_c.items()})
             results[-1].update({f"v/{k}": p.data.tobytes() for k, p in res.state.params_v.items()})
         assert results[0] == results[1]
@@ -412,14 +412,14 @@ class TestTrainStep:
             assert all(p.grad is None for p in state.params_c.values())
             assert all(p.grad is not None for p in state.params_v.values())
 
-    def test_toggle_off_equals_weight_zero_bitwise(self, dataset):
+    def test_toggle_off_equals_weight_zero_bitwise(self, dataset, tmp_path):
         pairs = [
             (dict(region_bsd_on=False, alpha=0.0), dict(gamma=0.0)),
         ]
         for off_kw, zero_kw in pairs:
             runs = []
             for kw in (off_kw, zero_kw):
-                res = run_training(dataset, None, MICRO, micro_tcfg(steps=4, **kw))
+                res = run_training(dataset, dataset, MICRO, micro_tcfg(steps=4, **kw), tmp_path)
                 blob = b"".join(p.data.tobytes() for p in res.state.params_c.values())
                 blob += b"".join(p.data.tobytes() for p in res.state.params_v.values())
                 runs.append(blob)
@@ -521,9 +521,9 @@ class TestTapeStructure:
 
 
 class TestRunTraining:
-    def test_record_count_and_mask_bounds(self, dataset):
+    def test_record_count_and_mask_bounds(self, dataset, tmp_path):
         tcfg = micro_tcfg(steps=7)
-        res = run_training(dataset, None, MICRO, tcfg)
+        res = run_training(dataset, dataset, MICRO, tcfg, tmp_path)
         assert len(res.records) == 7
         grid_cells = (MICRO.input_hw[0] // 8) * (MICRO.input_hw[1] // 8)
         pixels = MICRO.input_hw[0] * MICRO.input_hw[1]
@@ -550,7 +550,7 @@ class TestRunTraining:
 
     def test_checkpoint_round_trip_byte_exact(self, dataset, tmp_path):
         tcfg = micro_tcfg(steps=2)
-        res = run_training(dataset, None, MICRO, tcfg, out_dir=tmp_path)
+        res = run_training(dataset, dataset, MICRO, tcfg, out_dir=tmp_path)
         path = tmp_path / "ckpt_final.bin"
         assert path.exists()
         acfg, params_c, params_v, adapters = load_checkpoint(path)
