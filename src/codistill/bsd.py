@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
 from .losses import IGNORE_LABEL, cosine_distance, kl_map
 from .tensor import ShapeError, Tensor
 
@@ -47,7 +46,7 @@ def region_ce(ce_map: np.ndarray, region_hw) -> np.ndarray:
     *lead, h, w = ce_map.shape
     rows, cols = region_hw
     if rows < 1 or cols < 1 or h % rows or w % cols:
-        raise ConfigError(f"region grid {rows}x{cols} does not divide map {h}x{w}")
+        raise ShapeError(f"region grid {rows}x{cols} does not divide map {h}x{w}")
     return ce_map.reshape(*lead, rows, h // rows, cols, w // cols).sum(axis=(-3, -1))
 
 

@@ -11,6 +11,7 @@ import argparse
 import subprocess
 import sys
 from dataclasses import fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +127,11 @@ def _out_dir(path) -> Path:
 # commands ---------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    save_dataset(args.out, generate_dataset(_build(SynthSpec, vars(args)), args.n))
+    try:
+        samples = generate_dataset(_build(SynthSpec, vars(args)), args.n)
+    except FloatingPointError as exc:  # the noise term is gen's one product that can overflow
+        raise ConfigError(f"--noise {args.noise} overflows the image values: {exc}") from None
+    save_dataset(args.out, samples)
     print(f"wrote {args.n} samples to {args.out}")
     return 0
 
@@ -166,7 +171,10 @@ def _run_one_training(args, sets, acfg, tcfg, out_dir):
     train_set, eval_set, eval_path = sets
     out_dir = _out_dir(out_dir)
     write_manifest(out_dir / "manifest.txt", acfg, tcfg, {"data": args.data, "eval_data": eval_path, "out": out_dir})
-    return run_training(train_set, eval_set, acfg, tcfg, out_dir)
+    try:
+        return run_training(train_set, eval_set, acfg, tcfg, out_dir)
+    except FloatingPointError as exc:  # a step's is a TrainingError: this one is the evaluated set's
+        raise TrainingError(f"{eval_path}: {exc} evaluating the students on this set") from None
 
 
 def cmd_train(args) -> int:
@@ -188,28 +196,29 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_TOGGLE_GRID = [(h, r, p) for h in (False, True) for r in (False, True) for p in (False, True)]
+def _write_table(path, key_header, rows, reference) -> None:
+    """Write and print a results table: a line per (key, RunResult) row, its
+    delta the row's mIoU sum less the reference run's. The table replaces
+    `path` only once complete, like every other artifact."""
+    base_sum = reference.miou_c + reference.miou_v
+    lines = [f"{key_header}\tmiou_c\tmiou_v\tdelta"]
+    lines += [f"{key}\t{r.miou_c:.9g}\t{r.miou_v:.9g}\t{r.miou_c + r.miou_v - base_sum:.9g}" for key, r in rows]
+    table = "\n".join(lines)
+    with replacing(path) as fh:
+        fh.write((table + "\n").encode("utf-8"))
+    print(table)
 
 
 def cmd_ablate(args) -> int:
     sets, acfg, base = _prepare(args)
     out_dir = Path(args.out)
     rows = []
-    for hfd, region, pixel in _TOGGLE_GRID:
+    for hfd, region, pixel in product((0, 1), repeat=3):
         # a component is off when its weight is 0; region BSD keeps its toggle
-        tcfg = replace(base, beta=base.beta if hfd else 0.0, alpha=base.alpha if pixel else 0.0, region_bsd_on=region)
-        cell = out_dir / f"cell_hfd{int(hfd)}_r{int(region)}_p{int(pixel)}"
-        result = _run_one_training(args, sets, acfg, tcfg, cell)
-        rows.append((hfd, region, pixel, result.miou_c, result.miou_v))
-    base_sum = rows[0][3] + rows[0][4]  # all-off cell
-    header = "hfd\tregion\tpixel\tmiou_c\tmiou_v\tdelta"
-    lines = [header]
-    for hfd, region, pixel, miou_c, miou_v in rows:
-        delta = miou_c + miou_v - base_sum
-        lines.append(f"{int(hfd)}\t{int(region)}\t{int(pixel)}\t{miou_c:.9g}\t{miou_v:.9g}\t{delta:.9g}")
-    table = "\n".join(lines)
-    (out_dir / "ablation.tsv").write_text(table + "\n")
-    print(table)
+        tcfg = replace(base, beta=base.beta if hfd else 0.0, alpha=base.alpha if pixel else 0.0, region_bsd_on=bool(region))
+        cell = out_dir / f"cell_hfd{hfd}_r{region}_p{pixel}"
+        rows.append((f"{hfd}\t{region}\t{pixel}", _run_one_training(args, sets, acfg, tcfg, cell)))
+    _write_table(out_dir / "ablation.tsv", "hfd\tregion\tpixel", rows, rows[0][1])  # against the all-off cell
     return 0
 
 
@@ -232,15 +241,8 @@ def cmd_sweep(args) -> int:
     vanilla = replace(base, beta=0.0, gamma=0.0)
     cells = [(value, replace(base, **{args.param: value})) for value in points]  # every config is checked before any run
     result_v = _run_one_training(args, sets, acfg, vanilla, out_dir / "vanilla")
-    base_sum = result_v.miou_c + result_v.miou_v
-    lines = [f"{args.param}\tmiou_c\tmiou_v\tdelta"]
-    for value, tcfg in cells:
-        cell = out_dir / f"{args.param}_{value:g}"
-        result = _run_one_training(args, sets, acfg, tcfg, cell)
-        lines.append(f"{value:g}\t{result.miou_c:.9g}\t{result.miou_v:.9g}\t{result.miou_c + result.miou_v - base_sum:.9g}")
-    table = "\n".join(lines)
-    (out_dir / f"sweep_{args.param}.tsv").write_text(table + "\n")
-    print(table)
+    rows = [(f"{value:g}", _run_one_training(args, sets, acfg, tcfg, out_dir / f"{args.param}_{value:g}")) for value, tcfg in cells]
+    _write_table(out_dir / f"sweep_{args.param}.tsv", args.param, rows, result_v)
     return 0
 
 

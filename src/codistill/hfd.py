@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
 from .losses import cosine_distance
 from .students import ArchConfig, StudentParams, detach_params, init_params, mlp_block, vit_second_stage
 from .tensor import Tensor, avg_pool2d, conv2d
@@ -37,12 +36,7 @@ class FeatureAdapter:
 
 
 def apply_adapter(f: Tensor, adapter: FeatureAdapter) -> Tensor:
-    c_out, c_in = adapter.weight.shape[:2]
-    if f.ndim not in (3, 4) or f.shape[-3] != c_in:
-        raise ConfigError(f"adapter expects {c_in} input channels, got {tuple(f.shape)}")
-    if f.shape[-2] % adapter.pool or f.shape[-1] % adapter.pool:
-        raise ConfigError(f"feature {tuple(f.shape)} not divisible by pool factor {adapter.pool}")
-    out = conv2d(f, adapter.weight) + adapter.bias.reshape((c_out, 1, 1))
+    out = conv2d(f, adapter.weight) + adapter.bias.reshape((-1, 1, 1))
     if adapter.pool > 1:
         out = avg_pool2d(out, adapter.pool)
     return out

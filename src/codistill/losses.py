@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .tensor import Tensor, exp, l2_norm
+from .tensor import ShapeError, Tensor, exp, l2_norm
 
 IGNORE_LABEL = 255
 COSINE_EPS = 1e-8
@@ -39,11 +39,11 @@ def pixel_ce(log_probs: Tensor, labels: np.ndarray):
     for region votes and direction masks.
     """
     if log_probs.ndim not in (3, 4):
-        raise DataError(f"pixel_ce expects (N×)K×H×W log-probabilities, got {tuple(log_probs.shape)}")
+        raise ShapeError(f"pixel_ce expects (N×)K×H×W log-probabilities, got {tuple(log_probs.shape)}")
     k = log_probs.shape[-3]
     labels = np.asarray(labels)
     if labels.shape != log_probs.shape[:-3] + log_probs.shape[-2:]:
-        raise DataError(f"labels {labels.shape} do not match log-probabilities {tuple(log_probs.shape)}")
+        raise ShapeError(f"labels {labels.shape} do not match log-probabilities {tuple(log_probs.shape)}")
     check_labels(labels, k)
     valid = labels != IGNORE_LABEL
     classes = np.arange(k).reshape(k, 1, 1)
@@ -61,7 +61,7 @@ def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
     yields distance 1 (dot and similarity both vanish).
     """
     if a.shape != b.shape:
-        raise DataError(f"cosine_distance shapes differ: {tuple(a.shape)} vs {tuple(b.shape)}")
+        raise ShapeError(f"cosine_distance shapes differ: {tuple(a.shape)} vs {tuple(b.shape)}")
     dot = (a * b).sum(axis=-3)
     denom = l2_norm(a, axis=-3) * l2_norm(b, axis=-3) + COSINE_EPS
     return 1.0 - dot / denom

@@ -206,9 +206,7 @@ def attention_mix(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads:
     product, so the node sees plain softmax(q kᵀ) v.
     """
     *lead, n, dim = tokens.shape
-    if dim % num_heads:
-        raise ConfigError(f"token dim {dim} not divisible by {num_heads} heads")
-    dh = dim // num_heads
+    dh = dim // num_heads  # ArchConfig checks that the heads divide every dim
     nl = len(lead)
     split = (*range(nl), nl + 1, nl, nl + 2)  # (..., T, heads, dh) <-> (..., heads, T, dh)
 
@@ -238,18 +236,12 @@ def _attn_stage(fmap: Tensor, params: StudentParams, stage: int, cfg: ArchConfig
 
 def mlp_block(f: Tensor, params: StudentParams) -> Tensor:
     """The CNN's second layer, callable on any conforming feature map."""
-    w = params["conv2_w"]
-    if f.ndim not in (3, 4) or f.shape[-3] != w.shape[1]:
-        raise ShapeError(f"second-layer input needs {w.shape[1]} channels, got {tuple(f.shape)}")
-    return relu(conv2d(f, w, stride=2, padding=1) + _chan_bias(params["conv2_b"]))
+    return relu(conv2d(f, params["conv2_w"], stride=2, padding=1) + _chan_bias(params["conv2_b"]))
 
 
 def vit_second_stage(f: Tensor, params: StudentParams, cfg: ArchConfig) -> Tensor:
     """The ViT's second stage (downsample + attention), callable on any f1-shaped map."""
-    w = params["down2_w"]
-    if f.ndim not in (3, 4) or f.shape[-3] != w.shape[1]:
-        raise ShapeError(f"second-stage input needs {w.shape[1]} channels, got {tuple(f.shape)}")
-    merged = conv2d(f, w, stride=2) + _chan_bias(params["down2_b"])
+    merged = conv2d(f, params["down2_w"], stride=2) + _chan_bias(params["down2_b"])
     return _attn_stage(merged, params, 2, cfg)
 
 

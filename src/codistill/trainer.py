@@ -418,8 +418,9 @@ def run_training(train_set, eval_set, acfg: ArchConfig, tcfg: TrainConfig, out_d
     sub-stream of the seed: epochs of random permutations, consumed
     batch_size indices at a time. Evaluation on eval_set runs every
     eval_every steps and always at the final step. A FloatingPointError
-    (numpy raises one under np.errstate, as the CLI runs) becomes a
-    TrainingError naming the step.
+    (numpy raises one under np.errstate, as the CLI runs) in a step becomes
+    a TrainingError naming the step; one in an evaluation propagates, for
+    the caller that knows the evaluated set's file to name it.
     """
     state = make_train_state(acfg, tcfg)
     shuffle = substream(tcfg.seed, "shuffle")
@@ -432,10 +433,10 @@ def run_training(train_set, eval_set, acfg: ArchConfig, tcfg: TrainConfig, out_d
         for step in range(1, tcfg.steps + 1):
             try:
                 record = train_step([train_set[i] for i in islice(indices, tcfg.batch_size)], state, tcfg)
-                evaluated = step % tcfg.eval_every == 0 or step == tcfg.steps
-                record["miou_c"], record["miou_v"] = evaluate(state.params_c, state.params_v, acfg, eval_set) if evaluated else (math.nan, math.nan)
             except FloatingPointError as exc:
                 raise TrainingError(f"{exc} at step {step}") from None
+            evaluated = step % tcfg.eval_every == 0 or step == tcfg.steps
+            record["miou_c"], record["miou_v"] = evaluate(state.params_c, state.params_v, acfg, eval_set) if evaluated else (math.nan, math.nan)
             records.append({"step": step, **record})
             log.write(format_metrics_line(step, record) + "\n")
             if tcfg.checkpoint_every and step % tcfg.checkpoint_every == 0:

@@ -12,7 +12,6 @@ from codistill.bsd import (
     region_ce,
     region_loss,
 )
-from codistill.errors import ConfigError
 from codistill.losses import IGNORE_LABEL, cosine_distance, pixel_ce
 from codistill.tensor import ShapeError, Tensor, log_softmax, zero_grads
 
@@ -42,7 +41,7 @@ class TestRegionGrid:
 
     def test_indivisible_rejected(self):
         m = ce_map_of(np.zeros((4, 30, 32)), np.zeros((30, 32), dtype=int))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError, match="does not divide"):
             region_ce(m, (4, 4))
 
 

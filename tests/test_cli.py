@@ -118,7 +118,7 @@ class TestGen:
         assert not any(tmp_path.iterdir())
 
     def test_overflowing_noise_exits_2(self, tmp_path, capsys):
-        assert_exit_2(gen_args(tmp_path / "d") + ["--noise", "1e308"], capsys, "overflow encountered")
+        assert_exit_2(gen_args(tmp_path / "d") + ["--noise", "1e308"], capsys, "--noise 1e+308 overflows the image values")
         assert not any(tmp_path.iterdir())
 
     def test_gen_is_the_library(self, tmp_path):
@@ -416,6 +416,28 @@ class TestAblate:
             assert main(train_args(dataset_dir, ref, steps=4, seed=5, extra=toggles)) == 0
             assert (out / cell / "metrics.log").read_bytes() == (ref / "metrics.log").read_bytes()
 
+    @pytest.mark.parametrize("command, table", [("ablate", "ablation.tsv"), ("sweep", "sweep_gamma.tsv")])
+    def test_interrupted_table_write_keeps_earlier_table(self, dataset_dir, tmp_path, capsys, monkeypatch, command, table):
+        """Ctrl-C while a table is renamed into place leaves the earlier table
+        byte for byte and no temp file."""
+        out = tmp_path / "grid"
+        argv = [command, "--data", str(dataset_dir), "--out", str(out), "--steps", "1", "--batch-size", "4", "--eval-every", "100", "--checkpoint-every", "0"]
+        if command == "sweep":
+            argv[1:1] = ["--param", "gamma", "--values", "1"]
+        assert main([*argv, "--seed", "5"]) == 0
+        before = (out / table).read_bytes()
+        real_replace = recordio.os.replace
+
+        def replace_all_but_tables(src, dst):
+            if str(dst).endswith(".tsv"):
+                raise KeyboardInterrupt
+            real_replace(src, dst)
+
+        monkeypatch.setattr(recordio.os, "replace", replace_all_but_tables)
+        assert main([*argv, "--seed", "6"]) == 130
+        assert (out / table).read_bytes() == before
+        assert not list(out.rglob("*.tmp"))
+
 
 class TestSweep:
     def test_alpha_sweep_emits_five_rows(self, dataset_dir, tmp_path, capsys):
@@ -552,6 +574,13 @@ class TestBadDataset:
         code, _, err = self.main_without_warnings(train_args(huge_pixel, tmp_path / "run", steps=3), capsys)
         assert code == 3
         assert len(err) == 1 and err[0].startswith("training failed: overflow") and err[0].endswith(" at step 1")
+
+    def test_train_on_overflowing_eval_data(self, dataset_dir, huge_pixel, tmp_path, capsys):
+        """An overflow while evaluating the --eval-data set names that file, not just a step."""
+        argv = train_args(dataset_dir, tmp_path / "run", steps=2, extra=["--eval-every", "1", "--eval-data", str(huge_pixel)])
+        code, _, err = self.main_without_warnings(argv, capsys)
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith(f"training failed: {huge_pixel}: overflow")
 
     def test_train_on_zero_size_images(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codistill.errors import ConfigError
 from codistill.hfd import (
     FeatureAdapter,
     apply_adapter,
@@ -22,7 +21,7 @@ from codistill.students import (
     vit_forward,
     vit_second_stage,
 )
-from codistill.tensor import Tensor, zero_grads
+from codistill.tensor import ShapeError, Tensor, zero_grads
 
 from gradcheck import check_grads
 
@@ -63,9 +62,9 @@ class TestApplyAdapter:
 
     def test_bad_geometry_rejected(self):
         f = Tensor(np.zeros((3, 6, 6)))
-        with pytest.raises(ConfigError, match="channels"):
+        with pytest.raises(ShapeError, match="channel mismatch"):
             apply_adapter(f, FeatureAdapter(weight=Tensor(np.ones((2, 4, 1, 1))), bias=Tensor(np.zeros(2)), pool=1))
-        with pytest.raises(ConfigError, match="pool"):
+        with pytest.raises(ShapeError, match="do not tile"):
             apply_adapter(f, FeatureAdapter(weight=Tensor(np.ones((2, 3, 1, 1))), bias=Tensor(np.zeros(2)), pool=4))
 
     def test_gradients(self):

@@ -102,3 +102,74 @@ def test_every_error_type_has_an_exit_code():
     }
     assert errors, "errors.py defines no exception class"
     assert errors <= caught, "not caught in cli.main: " + ", ".join(sorted(errors - caught))
+
+
+def _nodes_by_function():
+    """(module file name, enclosing function name, node) for every node of the
+    package; the function is the innermost top-level function or method
+    (nested functions count as their parent), None at module level."""
+    for module, node in _top_level_statements():
+        scopes = [node] if isinstance(node, ast.FunctionDef) else node.body if isinstance(node, ast.ClassDef) else []
+        named = {id(n): (scope.name if isinstance(scope, ast.FunctionDef) else None) for scope in scopes for n in ast.walk(scope)}
+        for n in ast.walk(node):
+            yield module, named.get(id(n)), n
+
+
+# where outside input is read: the only places an input-error class may be raised
+INPUT_BOUNDARY = {
+    ("trainer.py", "__post_init__"),  # TrainConfig
+    ("students.py", "__post_init__"),  # ArchConfig
+    ("data.py", "__post_init__"),  # SynthSpec
+    ("data.py", "generate_dataset"),
+    ("data.py", "save_dataset"),
+    ("data.py", "load_dataset"),
+    ("data.py", "miou_from_confusion"),
+    ("losses.py", "check_labels"),
+    ("trainer.py", "load_checkpoint"),
+}
+INPUT_BOUNDARY_MODULES = {"recordio.py", "cli.py"}
+
+
+def test_input_errors_are_raised_only_at_the_boundary():
+    """ConfigError and DataError (exit 2) blame the user's input, so only code
+    that reads outside input raises them; a fault only the program can cause
+    (a shape that does not fit) is a ShapeError."""
+    stray = [
+        f"{module}:{node.lineno} in {function}"
+        for module, function, node in _nodes_by_function()
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for exc in [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+        if isinstance(exc, ast.Name) and exc.id in ("ConfigError", "DataError")
+        and module not in INPUT_BOUNDARY_MODULES and (module, function) not in INPUT_BOUNDARY
+    ]
+    assert not stray, "input-error class raised inside the program: " + ", ".join(stray)
+
+
+def _write_mode(call):
+    """The mode of an open() or Path.open() call that may write, else None."""
+    if isinstance(call.func, ast.Name) and call.func.id == "open":
+        positional = call.args[1:2]
+    elif isinstance(call.func, ast.Attribute) and call.func.attr == "open":
+        positional = call.args[:1]
+    else:
+        return None
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), positional[0] if positional else None)
+    if mode is None:
+        return None
+    if not isinstance(mode, ast.Constant):
+        return "a computed mode"
+    return mode.value if set(mode.value) & set("wax+") else None
+
+
+def test_files_are_written_only_through_replacing():
+    """Every artifact is renamed into place by recordio.replacing, so an
+    interrupted write leaves no partial file; metrics.log alone is appended
+    line by line, as each step completes."""
+    allowed = {("recordio.py", "replacing"), ("trainer.py", "run_training")}
+    writes = []
+    for module, function, node in _nodes_by_function():
+        if isinstance(node, ast.Attribute) and node.attr in ("write_text", "write_bytes"):
+            writes.append(f"{module}:{node.lineno} {node.attr}")
+        elif isinstance(node, ast.Call) and _write_mode(node) and (module, function) not in allowed:
+            writes.append(f"{module}:{node.lineno} open for writing in {function}")
+    assert not writes, "file written outside recordio.replacing: " + ", ".join(writes)

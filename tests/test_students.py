@@ -165,7 +165,7 @@ class TestAttention:
     def test_indivisible_heads_rejected(self):
         t = Tensor(np.zeros((3, 5)))
         w = Tensor(np.zeros((5, 5)))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="cannot reshape"):
             attention_mix(t, w, w, w, num_heads=2)
 
 
@@ -194,7 +194,7 @@ class TestSharedBlocks:
 
     def test_mlp_block_channel_mismatch(self, default_pair):
         params_c, _ = default_pair
-        with pytest.raises(ShapeError, match="channels"):
+        with pytest.raises(ShapeError, match="channel mismatch"):
             mlp_block(Tensor(np.zeros((5, 16, 16))), params_c)
 
     def test_mlp_block_gradients(self, default_pair):
