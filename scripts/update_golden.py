@@ -7,7 +7,8 @@ purpose, and log the change with its reason:
     python3 scripts/update_golden.py
 
 It prints every recorded value it changes (environment, file digests, tape
-counts, objective values) as ``key: old -> new``, the lines to log.
+counts, per-step work counts, objective values) as ``key: old -> new``, the
+lines to log.
 """
 
 import json
@@ -46,7 +47,7 @@ def main() -> int:
     lines = changes(old, json.loads(golden.GOLDEN.read_text()))
     for line in lines:
         print(line)
-    print(f"wrote {len(record['files'])} file digests and the tape counts {record['tape']} to {golden.GOLDEN}: {len(lines)} values changed")
+    print(f"wrote {len(record['files'])} file digests, the tape counts {record['tape']} and the work counts {record['counts']} to {golden.GOLDEN}: {len(lines)} values changed")
     return 0
 
 

@@ -173,6 +173,8 @@ def _run_one_training(args, sets, acfg, tcfg, out_dir):
     write_manifest(out_dir / "manifest.txt", acfg, tcfg, {"data": args.data, "eval_data": eval_path, "out": out_dir})
     try:
         return run_training(train_set, eval_set, acfg, tcfg, out_dir)
+    except TrainingError as exc:  # a step failed, on a batch of the training set
+        raise TrainingError(f"{args.data}: {exc} of training on this set") from None
     except FloatingPointError as exc:  # a step's is a TrainingError: this one is the evaluated set's
         raise TrainingError(f"{eval_path}: {exc} evaluating the students on this set") from None
 
@@ -190,8 +192,8 @@ def cmd_eval(args) -> int:
     _check_labelled(dataset, args.data)
     try:
         miou_c, miou_v = evaluate(params_c, params_v, acfg, dataset)
-    except FloatingPointError as exc:
-        raise DataError(f"{args.data}: {exc} evaluating the checkpoint on this --data set") from None
+    except FloatingPointError as exc:  # either file can hold the values that overflow
+        raise DataError(f"{args.data}: {exc} evaluating checkpoint {args.checkpoint} on this --data set") from None
     print(f"miou_c={miou_c:.9g} miou_v={miou_v:.9g}")
     return 0
 

@@ -201,23 +201,10 @@ def attention_mix(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads:
     """softmax(Q Kᵀ / sqrt(d)) V per head, heads concatenated.
 
     d is the per-head key dimension. No output projection: the mixing step
-    is exactly the scaled-dot-product form. All heads (and any leading
-    batch axes) go through one ``attention`` node; Q is scaled before the
-    product, so the node sees plain softmax(q kᵀ) v.
+    is exactly the scaled-dot-product form, three projections and one
+    ``attention`` node, which splits the heads and scales Q itself.
     """
-    *lead, n, dim = tokens.shape
-    dh = dim // num_heads  # ArchConfig checks that the heads divide every dim
-    nl = len(lead)
-    split = (*range(nl), nl + 1, nl, nl + 2)  # (..., T, heads, dh) <-> (..., heads, T, dh)
-
-    def heads(t):
-        return t.reshape(*lead, n, num_heads, dh).transpose(split)
-
-    q = heads(matmul(tokens, wq) * (1.0 / np.sqrt(dh)))
-    k = heads(matmul(tokens, wk))
-    v = heads(matmul(tokens, wv))
-    mixed = attention(q, k, v)
-    return mixed.transpose(split).reshape(*lead, n, dim)
+    return attention(matmul(tokens, wq), matmul(tokens, wk), matmul(tokens, wv), num_heads)
 
 
 def attn_block(tokens: Tensor, params: StudentParams, stage: int, cfg: ArchConfig) -> Tensor:

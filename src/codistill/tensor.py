@@ -70,10 +70,6 @@ class GraphError(ValueError):
     """Misuse of the autodiff graph, e.g. backward from a non-scalar."""
 
 
-def _as_f64(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
 def _consumed(g):
     raise GraphError("backward() through a graph that an earlier backward() consumed")
 
@@ -92,7 +88,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_f64(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._node = None
@@ -217,16 +213,22 @@ _UNTRACKED = _Node((), _consumed)
 
 
 def _make(data, parents, backward) -> Tensor:
+    # a plain loop: every op output passes through here, and a generator
+    # expression would cost a Python call per element
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._node = _Node(tuple(p._node or (p if p.requires_grad else _UNTRACKED) for p in parents), backward)
+    nodes = ()
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+        nodes += (p._node or (p if p.requires_grad else _UNTRACKED),)
+    if out.requires_grad:
+        out._node = _Node(nodes, backward)
     return out
 
 
 def _shape_if_tracked(t: Tensor):
     """t's shape when t takes a gradient, else None: what most closures keep of an operand."""
-    return t.shape if t.requires_grad else None
+    return t.data.shape if t.requires_grad else None
 
 
 def zero_grads(tensors) -> None:
@@ -240,10 +242,16 @@ def zero_grads(tensors) -> None:
 # array). The sum runs in BLAS's order, not numpy's, so the last bits can
 # differ from ``np.sum``.
 
+_ONE_OVER_D: dict = {}  # width -> its 1/d vector, never written
+
+
 def _row_means(a: np.ndarray) -> np.ndarray:
     """Means over the last axis, kept as a length-1 axis: a GEMV against a 1/d vector."""
     d = a.shape[-1]
-    return (a.reshape(-1, d) @ np.full(d, 1.0 / d)).reshape(*a.shape[:-1], 1)
+    w = _ONE_OVER_D.get(d)
+    if w is None:
+        w = _ONE_OVER_D[d] = np.full(d, 1.0 / d)
+    return (a.reshape(-1, d) @ w).reshape(*a.shape[:-1], 1)
 
 
 def _leading_sum(a: np.ndarray, lead: int) -> np.ndarray:
@@ -419,8 +427,8 @@ def _kept(shape, axes):
 
 def tsum(x, axis=None):
     x = _lift(x)
-    axes = _norm_axes(axis, x.ndim)
-    shape = x.shape
+    shape = x.data.shape
+    axes = _norm_axes(axis, len(shape))
 
     def backward(g):
         return (np.broadcast_to(g.reshape(_kept(shape, axes)), shape),)
@@ -430,8 +438,8 @@ def tsum(x, axis=None):
 
 def tmean(x, axis=None):
     x = _lift(x)
-    axes = _norm_axes(axis, x.ndim)
-    shape = x.shape
+    shape = x.data.shape
+    axes = _norm_axes(axis, len(shape))
     count = math.prod(shape[a] for a in axes)
 
     def backward(g):
@@ -443,8 +451,8 @@ def tmean(x, axis=None):
 def l2_norm(x, axis):
     """Euclidean norm along one axis; zero vectors get zero gradient."""
     x = _lift(x)
-    ax = axis % x.ndim
     xd = x.data
+    ax = axis % xd.ndim
     n = np.sqrt((xd * xd).sum(axis=ax))
 
     def backward(g):
@@ -457,7 +465,7 @@ def l2_norm(x, axis):
 
 def reshape(x, shape):
     x = _lift(x)
-    in_shape = x.shape
+    in_shape = x.data.shape
 
     def backward(g):
         return (g.reshape(in_shape),)
@@ -467,7 +475,7 @@ def reshape(x, shape):
 
 def transpose(x, axes):
     x = _lift(x)
-    inv = tuple(np.argsort(axes))
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))  # the inverse permutation
 
     def backward(g):
         return (g.transpose(inv),)
@@ -484,8 +492,9 @@ def transpose(x, axes):
 def matmul(a, b):
     """(..., m, k) @ (k, n): one matrix applied to every leading row."""
     a, b = _lift(a), _lift(b)
-    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul needs (...,m,k)@(k,n); got {tuple(a.shape)} and {tuple(b.shape)}")
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sb) != 2 or sa[-1] != sb[0]:
+        raise ShapeError(f"matmul needs (...,m,k)@(k,n); got {sa} and {sb}")
 
     ad = a.data if b.requires_grad else None
     bd = b.data if a.requires_grad else None
@@ -509,8 +518,11 @@ def _windows(xd, k, stride, padding):
         split = xd.reshape(*xd.shape[:-2], h // k, k, wid // k, k)
         return split.transpose(*range(nl + 1), nl + 2, nl + 4, nl + 1, nl + 3)
     xb = xd.reshape(-1, c, h, wid)
-    xp = np.pad(xb, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xb
-    return sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
+    if padding:  # zero-fill and slice-assign: what np.pad does, without its Python layers
+        xp = np.zeros((xb.shape[0], c, h + 2 * padding, wid + 2 * padding))
+        xp[:, :, padding:-padding, padding:-padding] = xb
+        xb = xp
+    return sliding_window_view(xb, (k, k), axis=(2, 3))[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
 
 
 def conv2d(x, w, stride=1, padding=0):
@@ -520,25 +532,23 @@ def conv2d(x, w, stride=1, padding=0):
     integer; fractional extents are rejected rather than floored.
     """
     x, w = _lift(x), _lift(w)
-    if x.ndim < 3:
-        raise ShapeError(f"conv2d input must be C×H×W with optional leading axes, got {tuple(x.shape)}")
-    if w.ndim != 4 or w.shape[2] != w.shape[3]:
-        raise ShapeError(f"conv2d kernel must be O×C×k×k with square k, got {tuple(w.shape)}")
-    c_out, c_in, k, _ = w.shape
-    if c_in != x.shape[-3]:
-        raise ShapeError(f"conv2d channel mismatch: input {tuple(x.shape)} vs kernel {tuple(w.shape)}")
+    xs, ws = x.data.shape, w.data.shape
+    if len(xs) < 3:
+        raise ShapeError(f"conv2d input must be C×H×W with optional leading axes, got {xs}")
+    if len(ws) != 4 or ws[2] != ws[3]:
+        raise ShapeError(f"conv2d kernel must be O×C×k×k with square k, got {ws}")
+    c_out, c_in, k, _ = ws
+    if c_in != xs[-3]:
+        raise ShapeError(f"conv2d channel mismatch: input {xs} vs kernel {ws}")
     if k < 1 or stride < 1 or padding < 0:
         raise ShapeError(f"conv2d needs k>=1, stride>=1, padding>=0; got k={k}, stride={stride}, padding={padding}")
-    h, wid = x.shape[-2:]
+    h, wid = xs[-2:]
     qh, rh = divmod(h + 2 * padding - k, stride)
     qw, rw = divmod(wid + 2 * padding - k, stride)
     h_out, w_out = qh + 1, qw + 1
     if rh or rw or h_out < 1 or w_out < 1:
-        raise ShapeError(
-            f"conv2d output size not integral/positive for input {tuple(x.shape)}, "
-            f"kernel {tuple(w.shape)}, stride={stride}, padding={padding}"
-        )
-    lead, nl = x.shape[:-3], x.ndim - 3
+        raise ShapeError(f"conv2d output size not integral/positive for input {xs}, kernel {ws}, stride={stride}, padding={padding}")
+    lead, nl = xs[:-3], len(xs) - 3
     tile = k == stride and padding == 0
     win = _windows(x.data, k, stride, padding)
     n = math.prod(win.shape[:-5])
@@ -547,7 +557,7 @@ def conv2d(x, w, stride=1, padding=0):
     # backward keeps x, not the column matrix, and rebuilds the columns from
     # it for gw; for gx it keeps the kernel and x's shape and layout
     xd = x.data if w.requires_grad else None
-    x_shape, x_strides = (x.shape, x.data.strides) if x.requires_grad else (None, None)
+    x_shape, x_strides = (xs, x.data.strides) if x.requires_grad else (None, None)
 
     def backward(g):
         gm = g.reshape(n, c_out, h_out * w_out)
@@ -585,13 +595,14 @@ def conv2d(x, w, stride=1, padding=0):
 def avg_pool2d(x, k):
     """Mean over the k×k tiles of the trailing H×W axes, which they must tile exactly."""
     x = _lift(x)
-    if x.ndim < 3:
-        raise ShapeError(f"avg_pool2d input must be C×H×W with optional leading axes, got {tuple(x.shape)}")
+    shape = x.data.shape
+    if len(shape) < 3:
+        raise ShapeError(f"avg_pool2d input must be C×H×W with optional leading axes, got {shape}")
     if k < 1:
         raise ShapeError(f"avg_pool2d needs k>=1, got k={k}")
-    h, wid = x.shape[-2:]
+    h, wid = shape[-2:]
     if h < k or wid < k or h % k or wid % k:
-        raise ShapeError(f"avg_pool2d windows (k={k}) do not tile input {tuple(x.shape)}")
+        raise ShapeError(f"avg_pool2d windows (k={k}) do not tile input {shape}")
     # k² strided tile adds: each tile row summed left to right, then the rows
     # top to bottom; at the program's k = 2 that is numpy's own order for a
     # mean over the window axes, so the bits match it
@@ -603,7 +614,6 @@ def avg_pool2d(x, k):
             row += xd[..., i::k, j::k]
         data = row if data is None else np.add(data, row, out=data)
     data /= k * k
-    shape = x.shape
 
     def backward(g):
         gx = np.zeros(shape)
@@ -614,8 +624,10 @@ def avg_pool2d(x, k):
     return _make(data, (x,), backward)
 
 
-# 2·max_i m_i above which attention shifts by the exact row max instead
+# 2·max_i m_i above which attention shifts an image by its exact row max instead
 _SHIFT_LIMIT = 300.0
+# bytes of T×S scores that attention builds and consumes per block
+_BLOCK_BYTES = 128 << 10
 
 
 def _rowdot(a, b):
@@ -623,23 +635,40 @@ def _rowdot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
-def _exp_scores(q, k, shift, qa, kat, e):
-    """One image's E = exp([q, shift]·[kᵀ; 1]) into e, through the buffers qa and kat."""
-    d = q.shape[-1]
-    qa[..., :d] = q
-    qa[..., d:] = shift
-    kat[..., :d, :] = np.swapaxes(k, -1, -2)
-    np.matmul(qa, kat, out=e)
-    np.exp(e, out=e)
+def _heads(a, heads):
+    """(…, T, H·w) as (B, H, T, w) for B images and H heads: a view wherever a's layout allows one."""
+    t, hw = a.shape[-2:]
+    return a.reshape(-1, t, heads, hw // heads).swapaxes(1, 2)
 
 
-def attention(q, k, v):
-    """softmax(q kᵀ) v over the last two axes of (..., T, d) operands, as one node.
+def _merged(a, shape, heads):
+    """Head-major (B·H, T, w) matrices as a new token-major array of `shape` (…, T, H·w); None stays None."""
+    if a is None:
+        return None
+    out = np.empty(shape)
+    view = _heads(out, heads)
+    view[...] = a.reshape(view.shape)
+    return out
 
-    q, k and v share their leading axes; k and v share T, q and k share d.
-    Forward and backward loop over images: every leading index but the
-    last (the heads axis), so one image's T×T block for all heads is built
-    and consumed while it sits in cache.
+
+def _with_ones(a, rows):
+    """(B, H, m, w) head views as B·H matrices with ones appended: [a; 1]
+    of m + 1 rows if `rows`, else [a, 1] of w + 1 columns."""
+    b, h, m, w = a.shape
+    shape = (b * h, m + 1, w) if rows else (b * h, m, w + 1)
+    out = np.ones(shape)
+    out.reshape(b, h, *shape[1:])[..., :m, :w] = a
+    return out
+
+
+def attention(q, k, v, heads):
+    """Multi-head softmax(q kᵀ / √d) v over token-major operands, as one node.
+
+    q (…, T, H·d), k (…, S, H·d) and v (…, S, H·e) share their leading
+    axes, the images. Head h owns columns [h·d, (h+1)·d) of q and k and
+    [h·e, (h+1)·e) of v, and the output (…, T, H·e) holds the heads side by
+    side, the layout the projections make. The op splits the heads and
+    scales q by 1/√d itself; below, q is the scaled q.
 
     Softmax ignores a per-row shift, so any upper bound on the row max
     keeps exp ≤ 1 as well as the max does (online softmax, arXiv:1805.02867;
@@ -649,85 +678,103 @@ def attention(q, k, v):
     q̃ = [q, −m] and k̃ = [k, 1], q̃ k̃ᵀ = S − m, and E = exp(S − m) is taken
     in place. With ṽ = [v, 1], E ṽ = [E v, s] gives the row sums s with the
     product, and O = (E v) / s. So the forward makes three passes over the
-    scores (GEMM, exp, GEMM) and no T×T divide. m takes no gradient: O does
+    scores (GEMM, exp, GEMM) and no T×S divide. m takes no gradient: O does
     not depend on it in reals.
 
     Guard: since |S_ij| ≤ m_i, every row keeps an entry of E at least
-    e^(−2 m_i). Where 2·max_i m_i ≤ 300 for an image, s ≥ e^−300, a normal
-    float, and g′ = dO / s stays below e^300·|dO|, so g′ vᵀ stays finite
-    unless |dO|·|v| nears 1e178. Above that limit the image is shifted by
-    its exact row max instead, taken from a plain q kᵀ; the GEMM, exp and
-    product stay the same.
+    e^(−2 m_i). Where 2·max_i m_i ≤ 300 over an image's heads, s ≥ e^−300,
+    a normal float, and g′ = dO / s stays below e^300·|dO|, so g′ vᵀ stays
+    finite unless |dO|·|v| nears 1e178. Above that limit the image is
+    shifted by its exact row max instead, taken from a plain q kᵀ; the
+    GEMM, exp and product stay the same.
 
-    The backward takes g′ = dO / s one image at a time; dv = Eᵀ g′ and
+    Blocks: there is one T×S score matrix per (image, head). They are built
+    and consumed in blocks of whole matrices, as many as fit _BLOCK_BYTES
+    and at least one, so that each block is used while it sits in cache; at
+    the students' default shapes a block is one 512 KiB stage-1 matrix,
+    four stage-2 ones or all sixteen of stage 3. The blocks' GEMM operands
+    [q, −m], [kᵀ; 1] and [v, 1] are laid out head-major for the whole batch
+    once, so a block is a slice of each.
+
+    The backward takes g′ = dO / s; dv = Eᵀ g′ and
     dS = [g′, −rowsum(g′ ⊙ O)] · [vᵀ; 1] ⊙ E, one GEMM and one multiply,
     which equal Pᵀ dO and (dO vᵀ − rowsum(dO ⊙ O)) ⊙ P for the weights
-    P = E / s. No E is kept: the forward stores the shift column −m and s,
-    and the backward rebuilds each image's E = exp([q, −m]·[kᵀ; 1]) in one
-    image-sized block by the forward's own calls on the same operands, so
-    it is the forward's E bit for bit, the guard's exact shift included.
-    Rebuilding is the cheaper way: a whole-batch E (8 MiB at stage 1)
-    does not fit a 1 MiB per-core L2, so writing it in the forward and
-    reading it back twice in the backward costs more than a second GEMM
-    and exp into one cache-resident block.
+    P = E / s. No E is kept: the forward keeps [q, −m], s, k and v, and the
+    backward rebuilds [kᵀ; 1] and each block's E by the forward's own calls
+    on the same operands, so it is the forward's E bit for bit, the guard's
+    exact shift included. Rebuilding is the cheaper way: a whole-batch E (8 MiB
+    at stage 1) is far larger than a core's cache, so writing it in the
+    forward and reading it back twice in the backward costs more than a
+    second GEMM and exp into one cache-resident block.
     """
     q, k, v = _lift(q), _lift(k), _lift(v)
-    if q.ndim < 2 or k.ndim != q.ndim or k.shape[:-1] != v.shape[:-1] or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"attention needs q (...,T,d), k (...,S,d), v (...,S,e); got {tuple(q.shape)}, {tuple(k.shape)}, {tuple(v.shape)}")
-    lead = q.shape[:-3]
-    images = list(np.ndindex(lead))
-    d, ev = q.shape[-1], v.shape[-1]
-    block = (*q.shape[len(lead) : -1], k.shape[-2])  # one image's scores, all heads
-    qd, kd, vd = q.data, k.data, v.data
-    shift = np.sqrt(_rowdot(qd, qd))[..., None]
-    shift *= -np.sqrt(_rowdot(kd, kd).max(axis=-1))[..., None, None]  # −m
-    qa = np.empty((*block[:-1], d + 1))  # [q, −m]
-    kat = np.ones((*block[:-2], d + 1, block[-1]))  # [kᵀ; 1]
-    va = np.ones((*block[:-2], block[-1], ev + 1))  # [v, 1]
-    e = np.empty(block)
-    s = np.empty((*q.shape[:-1], 1))
-    out = np.empty((*q.shape[:-1], ev))
-    prod = np.empty((*block[:-1], ev + 1))
-    for i in images:
-        if -2.0 * shift[i].min() > _SHIFT_LIMIT:
-            np.matmul(qd[i], np.swapaxes(kd[i], -1, -2), out=e)
-            np.negative(e.max(axis=-1, keepdims=True), out=shift[i])
-        _exp_scores(qd[i], kd[i], shift[i], qa, kat, e)
-        va[..., :ev] = vd[i]
-        np.matmul(e, va, out=prod)
-        s[i] = prod[..., ev:]
-        np.divide(prod[..., :ev], s[i], out=out[i])
+    qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
+    if heads < 1 or len(qs) < 2 or len(ks) != len(qs) or ks[:-1] != vs[:-1] or qs[:-2] != ks[:-2] or qs[-1] != ks[-1] or qs[-1] % heads or vs[-1] % heads:
+        raise ShapeError(f"attention needs q (...,T,H·d), k (...,S,H·d), v (...,S,H·e) for H = {heads} heads; got {qs}, {ks}, {vs}")
+    t, s_len, d, ev = qs[-2], ks[-2], qs[-1] // heads, vs[-1] // heads
+    scale = 1.0 / np.sqrt(d)
+    kh, vh = _heads(k.data, heads), _heads(v.data, heads)
+    images = kh.shape[0]
+    n = images * heads  # score matrices
+    qa = np.empty((images, heads, t, d + 1))  # [q, −m]
+    qh, shift = np.multiply(_heads(q.data, heads), scale, out=qa[..., :d]), qa[..., d:]
+    np.sqrt(_rowdot(qh, qh), out=shift[..., 0])
+    shift *= -np.sqrt(_rowdot(kh, kh).max(axis=-1))[..., None, None]  # −m
+    for i in np.flatnonzero(-2.0 * shift.reshape(images, heads * t).min(axis=1) > _SHIFT_LIMIT):
+        np.negative((qh[i] @ kh[i].swapaxes(-1, -2)).max(axis=-1, keepdims=True), out=shift[i])
+    qa = qa.reshape(n, t, d + 1)
+    kat = _with_ones(kh.swapaxes(-1, -2), rows=True)  # [kᵀ; 1]
+    va = _with_ones(vh, rows=False)  # [v, 1]
+    per = max(1, _BLOCK_BYTES // (8 * t * s_len))  # score matrices per block
+    e = np.empty((min(per, n), t, s_len))
+    prod = np.empty((n, t, ev + 1))
+    for m in range(0, n, per):
+        blk, eb = slice(m, m + per), e[: n - m]
+        np.matmul(qa[blk], kat[blk], out=eb)
+        np.exp(eb, out=eb)
+        np.matmul(eb, va[blk], out=prod[blk])
+    del kat, va, e  # freed before the output is allocated
+    prod = prod.reshape(images, heads, t, ev + 1)
+    s = prod[..., ev:].copy()
+    out = np.empty((*qs[:-1], heads * ev))
+    np.divide(prod[..., :ev], s, out=_heads(out, heads))
+    # the backward keeps k and v as they came, not [kᵀ; 1] and [v, 1]
+    kd, vd = k.data, v.data
     sq, sk, sv = _shape_if_tracked(q), _shape_if_tracked(k), _shape_if_tracked(v)
     vd = None if sq is None and sk is None else vd  # only dS reads v
 
     def backward(g):
-        gq = None if sq is None else np.empty(sq)
-        gk = None if sk is None else np.empty(sk)
-        gv = None if sv is None else np.empty(sv)
-        qa = np.empty((*block[:-1], d + 1))
-        kat = np.ones((*block[:-2], d + 1, block[-1]))
-        e = np.empty(block)
-        ga = np.empty((*block[:-1], ev + 1))  # [g′, −rowsum(g′ ⊙ O)]
-        gp = ga[..., :ev]
+        kat = _with_ones(_heads(kd, heads).swapaxes(-1, -2), rows=True)
+        ga = np.empty((images, heads, t, ev + 1))  # [g′, −rowsum(g′ ⊙ O)]
+        np.divide(_heads(g, heads), s, out=ga[..., :ev])
         if vd is not None:
-            vat = np.ones((*block[:-2], ev + 1, block[-1]))  # [vᵀ; 1]
-            ds = np.empty(block)
-        for i in images:
-            _exp_scores(qd[i], kd[i], shift[i], qa, kat, e)
-            np.divide(g[i], s[i], out=gp)
+            np.negative(_rowdot(ga[..., :ev], _heads(out, heads)), out=ga[..., ev])
+            vat = _with_ones(_heads(vd, heads).swapaxes(-1, -2), rows=True)  # [vᵀ; 1]
+            ds = np.empty((min(per, n), t, s_len))
+        ga = ga.reshape(n, t, ev + 1)
+        gq = None if sq is None else np.empty((n, t, d))
+        kc = None if sq is None else _heads(kd, heads).reshape(n, s_len, d)  # k, head-major
+        gk = None if sk is None else np.empty((n, s_len, d))
+        gv = None if sv is None else np.empty((n, s_len, ev))
+        e = np.empty((min(per, n), t, s_len))
+        for m in range(0, n, per):
+            blk, eb = slice(m, m + per), e[: n - m]
+            np.matmul(qa[blk], kat[blk], out=eb)
+            np.exp(eb, out=eb)
             if gv is not None:
-                np.matmul(np.swapaxes(e, -1, -2), gp, out=gv[i])
+                np.matmul(eb.swapaxes(-1, -2), ga[blk, :, :ev], out=gv[blk])
             if vd is None:
                 continue
-            np.negative(_rowdot(gp, out[i]), out=ga[..., ev])
-            vat[..., :ev, :] = np.swapaxes(vd[i], -1, -2)
-            np.matmul(ga, vat, out=ds)
-            ds *= e
+            dsb = ds[: n - m]
+            np.matmul(ga[blk], vat[blk], out=dsb)
+            dsb *= eb
             if gq is not None:
-                np.matmul(ds, kd[i], out=gq[i])
+                np.matmul(dsb, kc[blk], out=gq[blk])
             if gk is not None:
-                np.matmul(np.swapaxes(ds, -1, -2), qd[i], out=gk[i])
-        return gq, gk, gv
+                np.matmul(dsb.swapaxes(-1, -2), qa[blk, :, :d], out=gk[blk])
+        if gq is not None:
+            gq *= scale
+        return _merged(gq, sq, heads), _merged(gk, sk, heads), _merged(gv, sv, heads)
 
     return _make(out, (q, k, v), backward)
 
@@ -749,9 +796,9 @@ _LN_EPS = 1e-5
 def layer_norm(x, gain, bias):
     """Normalize along the last axis (population variance), then scale and shift."""
     x, gain, bias = _lift(x), _lift(gain), _lift(bias)
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm gain/bias must have shape ({d},), got {tuple(gain.shape)} and {tuple(bias.shape)}")
+    d = x.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeError(f"layer_norm gain/bias must have shape ({d},), got {gain.data.shape} and {bias.data.shape}")
     # in place on arrays this op allocates, in the order of
     # xhat = (x - mu) / sqrt(var + eps) and xhat * gain + bias
     xhat = x.data - _row_means(x.data)
@@ -760,7 +807,7 @@ def layer_norm(x, gain, bias):
     xhat *= r
     np.multiply(xhat, gain.data, out=data)
     data += bias.data
-    lead = x.ndim - 1
+    lead = x.data.ndim - 1
     gain_data = gain.data if x.requires_grad else None  # only gx reads the gain
     tracked_gain, tracked_bias = gain.requires_grad, bias.requires_grad
 
@@ -806,11 +853,12 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
 def bilinear_upsample(x, out_hw):
     """Resize the trailing h×w axes of a (...×)C×h×w map to H×W, separable bilinear."""
     x = _lift(x)
-    if x.ndim < 3:
-        raise ShapeError(f"bilinear_upsample input must be C×H×W with optional leading axes, got {tuple(x.shape)}")
+    shape = x.data.shape
+    if len(shape) < 3:
+        raise ShapeError(f"bilinear_upsample input must be C×H×W with optional leading axes, got {shape}")
     h_out, w_out = out_hw
-    rmat = _interp_matrix(x.shape[-2], h_out)
-    cmat = _interp_matrix(x.shape[-1], w_out)
+    rmat = _interp_matrix(shape[-2], h_out)
+    cmat = _interp_matrix(shape[-1], w_out)
     data = rmat @ (x.data @ cmat.T)
 
     def backward(g):

@@ -2,25 +2,28 @@
 
 ``tests/golden.json`` holds SHA-256 digests of two generated datasets and of
 every cell's metrics log and checkpoints and the table of a 20-step ablation
-grid, the tape and attention node counts of one default step, and the two
-objective values of one step at non-unit selective weights. Manifests are
-left out: they record paths and a build tag. The digests depend on numpy and
-the BLAS, so the file records both. ``python3 scripts/update_golden.py``
-rewrites it.
+grid, the tape and attention node counts of one default step, exact work
+counts of one warm default step (full and CE-only), and the two objective
+values of one step at non-unit selective weights. Manifests are left out:
+they record paths and a build tag. The digests depend on numpy and the BLAS,
+and the work counts on numpy and Python too, so the file records all three.
+``python3 scripts/update_golden.py`` rewrites it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import platform
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from codistill import trainer
+from codistill import tensor, trainer
 from codistill.cli import main
 from codistill.data import SynthSpec, generate_dataset
 from codistill.students import ArchConfig
@@ -43,7 +46,7 @@ def environment() -> dict:
         blas_name = f"{blas['name']} {blas.get('version', '')}".strip()
     except (TypeError, KeyError):  # numpy before show_config(mode=...)
         blas_name = "unknown"
-    return {"numpy": np.__version__, "blas": blas_name, "machine": platform.machine()}
+    return {"numpy": np.__version__, "blas": blas_name, "machine": platform.machine(), "python": platform.python_version()}
 
 
 def _tape(loss):
@@ -79,6 +82,39 @@ def step_tape(**kw):
     return closures, values
 
 
+def step_counts(**kw) -> dict:
+    """Exact work counts of one warm default batch-8 step, after two
+    warm-ups on the same batch, with gc off: Python function calls and C
+    builtin calls (``sys.setprofile`` events), and the op outputs
+    (``tensor._make`` calls) and their bytes."""
+    tcfg = TrainConfig(**kw)
+    batch, state = generate_dataset(SynthSpec(), 8), make_train_state(ArchConfig(), tcfg)
+    for _ in range(2):
+        train_step(batch, state, tcfg)
+    counts = dict.fromkeys(("python_calls", "c_calls", "op_outputs", "op_output_bytes"), 0)
+    make = tensor._make.__code__
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts["python_calls"] += 1
+        elif event == "c_call":
+            counts["c_calls"] += 1
+        elif event == "return" and frame.f_code is make:
+            counts["op_outputs"] += 1
+            counts["op_output_bytes"] += arg.data.nbytes
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        train_step(batch, state, tcfg)
+    finally:
+        sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
+    return counts
+
+
 def _cli(*argv) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(list(argv))
@@ -100,6 +136,7 @@ def digests(workdir) -> dict:
         ops = [fn.__qualname__.split(".")[0] for fn in step_tape(**kw)[0]]
         tape[name] = {"nodes": len(ops), "attention": ops.count("attention")}
     return {
+        "counts": {name: step_counts(**kw) for name, kw in STEPS},
         "files": {p.relative_to(work).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in files},
         "tape": tape,
         "objectives": [v.hex() for v in step_tape(**OBJECTIVE_WEIGHTS)[1]],

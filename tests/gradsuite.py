@@ -101,17 +101,17 @@ def op_checks():
 
     @register("softmax")
     def _(rng):
-        # softmax along the last axis as attention(x, I, I): q kᵀ = x and P v = P
+        # softmax of x / √5 along the last axis as attention(x, I, I, 1): q kᵀ = x and P v = P
         x = _leaf(rng, 3, 5)
         eye = T.Tensor(np.eye(5))
         w = _frozen_weigh(rng, (3, 5))
-        return lambda: w(T.attention(x, eye, eye)), [x]
+        return lambda: w(T.attention(x, eye, eye, 1)), [x]
 
     @register("attention")
     def _(rng):
         q, k, v = _leaf(rng, 4, 3), _leaf(rng, 5, 3), _leaf(rng, 5, 2)
         w = _frozen_weigh(rng, (4, 2))
-        return lambda: w(T.attention(q, k, v)), [q, k, v]
+        return lambda: w(T.attention(q, k, v, 1)), [q, k, v]
 
     @register("log_softmax")
     def _(rng):
@@ -215,23 +215,24 @@ def op_checks():
 
     @register("softmax_batched_class_axis")
     def _(rng):
-        # class axis -3 moved last and flattened to rows, softmaxed through attention(x, I, I), moved back
+        # class axis -3 moved last and flattened to rows, softmaxed (of x / √3) through attention(x, I, I, 1), moved back
         x = _leaf(rng, 2, 3, 2, 2)
         eye = T.Tensor(np.eye(3))
         w = _frozen_weigh(rng, (2, 3, 2, 2))
 
         def build():
             rows = T.reshape(T.transpose(x, (0, 2, 3, 1)), (8, 3))
-            s = T.reshape(T.attention(rows, eye, eye), (2, 2, 2, 3))
+            s = T.reshape(T.attention(rows, eye, eye, 1), (2, 2, 2, 3))
             return w(T.transpose(s, (0, 3, 1, 2)))
 
         return build, [x]
 
     @register("attention_batched")
     def _(rng):
-        q, k, v = _leaf(rng, 2, 2, 4, 3), _leaf(rng, 2, 2, 4, 3), _leaf(rng, 2, 2, 4, 3)
-        w = _frozen_weigh(rng, (2, 2, 4, 3))
-        return lambda: w(T.attention(q, k, v)), [q, k, v]
+        # two images of two heads: d = 3 for q and k, e = 2 for v
+        q, k, v = _leaf(rng, 2, 4, 6), _leaf(rng, 2, 5, 6), _leaf(rng, 2, 5, 4)
+        w = _frozen_weigh(rng, (2, 4, 4))
+        return lambda: w(T.attention(q, k, v, 2)), [q, k, v]
 
     @register("log_softmax_batched_class_axis")
     def _(rng):

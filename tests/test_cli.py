@@ -569,11 +569,13 @@ class TestBadDataset:
         code, stdout, err = self.main_without_warnings(argv, capsys)
         assert code == 2 and stdout == ""
         assert len(err) == 1 and err[0].startswith(f"error: {huge_pixel}: overflow") and "--data" in err[0]
+        assert f"checkpoint {out / 'ckpt_final.bin'} " in err[0]  # either file can be at fault
 
     def test_train_on_overflowing_images(self, huge_pixel, tmp_path, capsys):
+        """An overflow in a training step names the training file and the step."""
         code, _, err = self.main_without_warnings(train_args(huge_pixel, tmp_path / "run", steps=3), capsys)
         assert code == 3
-        assert len(err) == 1 and err[0].startswith("training failed: overflow") and err[0].endswith(" at step 1")
+        assert len(err) == 1 and err[0].startswith(f"training failed: {huge_pixel}: overflow") and " at step 1 " in err[0]
 
     def test_train_on_overflowing_eval_data(self, dataset_dir, huge_pixel, tmp_path, capsys):
         """An overflow while evaluating the --eval-data set names that file, not just a step."""

@@ -6,8 +6,7 @@ Each dataset mutation is run as the training data of `train`, as its
 
   * the exit code is 0, 2 or 3;
   * a failure prints exactly one stderr line, which names the mutated
-    file, or the step when a training step fails on it; numpy warns of
-    nothing;
+    file; numpy warns of nothing;
   * an exit 2 leaves nothing under `--out`;
   * an `eval` that succeeds prints finite mIoUs.
 
@@ -80,6 +79,8 @@ CHECKPOINT_MUTATIONS = (
     _record_mutations("config/num_heads", ("flat", "first", "wrapped", "empty"))
     + _record_mutations("vit/s1_wq", SHAPES)
     + _structure_mutations(("config/num_heads", "cnn/conv1_w"))
+    # finite, so the checkpoint loads, but the CNN's first convolution overflows on a clean set
+    + [("cnn/conv1_w:all-1e307", lambda recs: {**recs, "cnn/conv1_w": np.full_like(recs["cnn/conv1_w"], 1e307)})]
 )
 
 
@@ -105,7 +106,7 @@ def _run(argv, capsys):
     return code, out, err.splitlines(), [str(w.message) for w in caught]
 
 
-def _check_contract(argv, capsys, bad, out_dir=None, trains_on_bad=False):
+def _check_contract(argv, capsys, bad, out_dir=None):
     code, stdout, err, caught = _run(argv, capsys)
     where = " ".join(argv)
     assert code in (0, 2, 3), f"{where}: exit {code}"
@@ -114,8 +115,7 @@ def _check_contract(argv, capsys, bad, out_dir=None, trains_on_bad=False):
         assert err == [], f"{where}: exit 0 with stderr {err}"
     else:
         assert len(err) == 1, f"{where}: exit {code} with {len(err)} stderr lines: {err}"
-        blamed = " at step " if code == 3 and trains_on_bad else str(bad)
-        assert blamed in err[0], f"{where}: {err[0]!r} does not name {blamed!r}"
+        assert str(bad) in err[0], f"{where}: {err[0]!r} does not name {str(bad)!r}"
     if code == 2 and out_dir is not None:
         assert not out_dir.exists(), f"{where}: exit 2 wrote {out_dir}"
     if code == 0 and argv[0] == "eval":
@@ -136,7 +136,7 @@ def test_dataset_mutation(inputs, tmp_path, capsys, mutate):
     write_archive(bad, mutate(records).items())
     train = ["train", "--steps", "2", "--eval-every", "1", "--checkpoint-every", "0"]
     argv = [*train, "--data", str(bad), "--out", str(tmp_path / "as_data")]
-    _check_contract(argv, capsys, bad, tmp_path / "as_data", trains_on_bad=True)
+    _check_contract(argv, capsys, bad, tmp_path / "as_data")
     argv = [*train, "--data", str(data), "--eval-data", str(bad), "--out", str(tmp_path / "as_eval_data")]
     _check_contract(argv, capsys, bad, tmp_path / "as_eval_data")
     _check_contract(["eval", "--checkpoint", str(ckpt), "--data", str(bad)], capsys, bad)

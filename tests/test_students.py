@@ -165,7 +165,7 @@ class TestAttention:
     def test_indivisible_heads_rejected(self):
         t = Tensor(np.zeros((3, 5)))
         w = Tensor(np.zeros((5, 5)))
-        with pytest.raises(ValueError, match="cannot reshape"):
+        with pytest.raises(ShapeError, match="H = 2 heads"):
             attention_mix(t, w, w, w, num_heads=2)
 
 

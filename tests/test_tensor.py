@@ -127,9 +127,10 @@ class TestGelu:
 
 
 def _softmax_rows(x):
-    """softmax along the last axis as attention(x, I, I): q kᵀ = x and P v = P."""
-    eye = np.eye(np.shape(x)[-1])
-    return T.attention(Tensor(x), Tensor(eye), Tensor(eye))
+    """softmax along the last axis as attention(x·√m, I, I, 1) for rows of m: q kᵀ / √m = x and P v = P."""
+    m = np.shape(x)[-1]
+    eye = np.eye(m)
+    return T.attention(Tensor(np.asarray(x) * np.sqrt(m)), Tensor(eye), Tensor(eye), 1)
 
 
 class TestSoftmax:
@@ -155,15 +156,15 @@ def _rowdot(a, b):
 
 
 def _attention_oracle(q, k, v, g, exact_shift=False):
-    """Plain-numpy softmax(q kᵀ) v in the op's arithmetic, whole-array: the
-    shift m (the Cauchy–Schwarz bound ‖q_i‖·max_j‖k_j‖, or the exact row
-    max) rides in [q, −m]·[k, 1]ᵀ, the row sums come out of E·[v, 1], and
-    the row term of dS rides in [g′, −rowsum(g′ ⊙ O)]·[vᵀ; 1]."""
+    """Plain-numpy softmax(q kᵀ) v of head-major (..., T, d) operands in the
+    op's arithmetic, whole-array: the shift m (the Cauchy–Schwarz bound
+    ‖q_i‖·max_j‖k_j‖, or the exact row max where `exact_shift`, a flag per
+    image or one for all) rides in [q, −m]·[k, 1]ᵀ, the row sums come out
+    of E·[v, 1], and the row term of dS rides in [g′, −rowsum(g′ ⊙ O)]·[vᵀ; 1]."""
     ev = v.shape[-1]
-    if exact_shift:
-        m = (q @ np.swapaxes(k, -1, -2)).max(axis=-1, keepdims=True)
-    else:
-        m = np.sqrt(_rowdot(q, q))[..., None] * np.sqrt(_rowdot(k, k).max(axis=-1))[..., None, None]
+    m = np.sqrt(_rowdot(q, q))[..., None] * np.sqrt(_rowdot(k, k).max(axis=-1))[..., None, None]
+    exact = np.asarray(exact_shift)[..., None, None, None]
+    m = np.where(exact, (q @ np.swapaxes(k, -1, -2)).max(axis=-1, keepdims=True), m)
     ka, va = (np.concatenate([a, np.ones((*a.shape[:-1], 1))], axis=-1) for a in (k, v))
     e = np.concatenate([q, -m], axis=-1) @ np.swapaxes(ka, -1, -2)
     np.exp(e, out=e)
@@ -189,36 +190,76 @@ def _softmax_weights_reference(q, k, v, g):
     return p @ v, (ds @ k, np.swapaxes(ds, -1, -2) @ q, np.swapaxes(p, -1, -2) @ g)
 
 
+def _split(a, heads):
+    """Token-major (..., T, H·w) as head-major (..., H, T, w)."""
+    return np.swapaxes(a.reshape(*a.shape[:-1], heads, -1), -2, -3)
+
+
+def _joined(a):
+    """Head-major (..., H, T, w) as token-major (..., T, H·w)."""
+    return np.swapaxes(a, -2, -3).reshape(*a.shape[:-3], a.shape[-2], -1)
+
+
+def _on_heads(reference, q, k, v, g, heads, **kw):
+    """A head-major reference run on token-major operands as the op runs
+    them: q scaled by 1/√d first, d = q's width per head, and its gradient
+    by the same factor last."""
+    scale = 1.0 / np.sqrt(q.shape[-1] // heads)
+    out, (gq, gk, gv) = reference(*(_split(a, heads) for a in (q * scale, k, v, g)), **kw)
+    return _joined(out), (_joined(gq) * scale, _joined(gk), _joined(gv))
+
+
 class TestAttention:
-    """One node for softmax(q kᵀ) v, checked against plain numpy."""
+    """One node for multi-head softmax(q kᵀ / √d) v, checked against plain numpy."""
 
     @staticmethod
-    def _case(lead):
+    def _case(lead, heads=1):
         rng = np.random.default_rng(14)
-        q, k = rng.standard_normal((*lead, 7, 3)) * 2, rng.standard_normal((*lead, 6, 3)) * 2
-        v, g = rng.standard_normal((*lead, 6, 4)), rng.standard_normal((*lead, 7, 4))
+        q, k = rng.standard_normal((*lead, 7, 3 * heads)) * 3, rng.standard_normal((*lead, 6, 3 * heads)) * 2
+        v, g = rng.standard_normal((*lead, 6, 4 * heads)), rng.standard_normal((*lead, 7, 4 * heads))
         return q, k, v, g
 
-    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["single", "batch", "batch_heads"])
-    def test_matches_numpy_oracle(self, lead):
-        q, k, v, g = self._case(lead)
-        want, want_grads = _attention_oracle(q, k, v, g)
-        out = T.attention(*(Tensor(t, requires_grad=True) for t in (q, k, v)))
-        np.testing.assert_array_equal(out.data, want)
-        # slice by slice in the op, whole-array here: the same products per slice
-        for got, ref in zip(out._node._backward(g), want_grads):
+    @staticmethod
+    def _two_max_m(q, k, heads):
+        """2·max_i m_i per image, of the scaled q, as the op's guard reads it."""
+        qh, kh = _split(q / np.sqrt(q.shape[-1] // heads), heads), _split(k, heads)
+        return 2 * (np.sqrt(_rowdot(qh, qh)) * np.sqrt(_rowdot(kh, kh).max(axis=-1))[..., None]).max(axis=(-1, -2))
+
+    def _guarded(self, lead, heads, images, factor):
+        """A case whose listed images have 2·max_i m_i at `factor` times the limit."""
+        q, k, v, g = self._case(lead, heads)
+        scale = np.ones(lead)
+        scale[list(images)] = np.sqrt(factor * T._SHIFT_LIMIT / self._two_max_m(q, k, heads)[list(images)])
+        q, k = q * scale[..., None, None], k * scale[..., None, None]
+        exact = self._two_max_m(q, k, heads) > T._SHIFT_LIMIT
+        assert exact[list(images)].all() == (factor > 1) and exact.sum() == (len(images) if factor > 1 else 0)
+        return (q, k, v, g), exact
+
+    @staticmethod
+    def _run(q, k, v, g, heads):
+        out = T.attention(*(Tensor(t, requires_grad=True) for t in (q, k, v)), heads)
+        return out.data, out._node._backward(g)
+
+    @pytest.mark.parametrize("lead, heads", [((), 1), ((3,), 1), ((2,), 2)], ids=["single", "batch", "batch_heads"])
+    def test_matches_numpy_oracle(self, lead, heads):
+        q, k, v, g = self._case(lead, heads)
+        want, want_grads = _on_heads(_attention_oracle, q, k, v, g, heads)
+        out, grads = self._run(q, k, v, g, heads)
+        np.testing.assert_array_equal(out, want)
+        # block by block in the op, whole-array here: the same products per matrix
+        for got, ref in zip(grads, want_grads):
             np.testing.assert_array_equal(got, ref)
 
-    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["single", "batch", "batch_heads"])
-    def test_matches_softmax_weights_form(self, lead):
+    @pytest.mark.parametrize("lead, heads", [((), 1), ((3,), 1), ((2,), 2)], ids=["single", "batch", "batch_heads"])
+    def test_matches_softmax_weights_form(self, lead, heads):
         # normalising after P·V reorders the arithmetic; in reals it is the softmax
-        q, k, v, g = self._case(lead)
-        want, want_grads = _softmax_weights_reference(q, k, v, g)
-        out = T.attention(*(Tensor(t, requires_grad=True) for t in (q, k, v)))
-        np.testing.assert_allclose(out.data, want, rtol=1e-12)
+        q, k, v, g = self._case(lead, heads)
+        want, want_grads = _on_heads(_softmax_weights_reference, q, k, v, g, heads)
+        out, grads = self._run(q, k, v, g, heads)
+        np.testing.assert_allclose(out, want, rtol=1e-12)
         # gradient entries near zero come out of cancelling sums: bound them
         # relative to the largest entry of their array
-        for got, ref in zip(out._node._backward(g), want_grads):
+        for got, ref in zip(grads, want_grads):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     @pytest.mark.parametrize("factor", [0.99, 1.01], ids=["bound_shift", "exact_shift"])
@@ -226,44 +267,73 @@ class TestAttention:
         """Each image is scaled so that 2·max_i m_i lands just below or just
         above the limit: below it the op shifts by the Cauchy–Schwarz bound,
         above it by the exact row max, and both are the softmax."""
-        def two_max_m(q, k):  # per image
-            return 2 * (np.sqrt(_rowdot(q, q)) * np.sqrt(_rowdot(k, k).max(axis=-1))[..., None]).max(axis=(-1, -2))
-
-        q, k, v, g = self._case((2, 2))
-        scale = np.sqrt(factor * T._SHIFT_LIMIT / two_max_m(q, k))[:, None, None, None]
-        q, k = q * scale, k * scale
-        assert np.all((two_max_m(q, k) > T._SHIFT_LIMIT) == (factor > 1))
-        out = T.attention(*(Tensor(t, requires_grad=True) for t in (q, k, v)))
-        grads = out._node._backward(g)
-        want, want_grads = _attention_oracle(q, k, v, g, exact_shift=factor > 1)
-        np.testing.assert_array_equal(out.data, want)
+        (q, k, v, g), exact = self._guarded((2,), 2, (0, 1), factor)
+        out, grads = self._run(q, k, v, g, 2)
+        want, want_grads = _on_heads(_attention_oracle, q, k, v, g, 2, exact_shift=exact)
+        np.testing.assert_array_equal(out, want)
         for got, ref in zip(grads, want_grads):
             np.testing.assert_array_equal(got, ref)
-        want, want_grads = _softmax_weights_reference(q, k, v, g)
-        np.testing.assert_allclose(out.data, want, rtol=1e-12)
+        want, want_grads = _on_heads(_softmax_weights_reference, q, k, v, g, 2)
+        np.testing.assert_allclose(out, want, rtol=1e-12)
         for got, ref in zip(grads, want_grads):
             assert np.all(np.isfinite(got))
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
+    # a 7×6 score matrix is 336 bytes: a 1008-byte block holds 3 of them
+    @pytest.mark.parametrize(
+        "lead, heads, guarded",
+        [((5,), 1, ()), ((4,), 2, ()), ((4,), 2, (1,))],
+        ids=["ragged_last_block", "two_heads", "guarded_image_in_block"],
+    )
+    def test_blocks_match_the_oracle(self, monkeypatch, lead, heads, guarded):
+        """Three matrices per block: the last block of 5 or 8 matrices is
+        short, two-head blocks split images between them, and an image past
+        the shift limit shares its blocks with images under it."""
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 3 * 7 * 6 * 8)
+        (q, k, v, g), exact = self._guarded(lead, heads, guarded, 1.01)
+        out, grads = self._run(q, k, v, g, heads)
+        want, want_grads = _on_heads(_attention_oracle, q, k, v, g, heads, exact_shift=exact)
+        np.testing.assert_array_equal(out, want)
+        for got, ref in zip(grads, want_grads):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("block_bytes", [1, 3 * 7 * 6 * 8, 1 << 20], ids=["one_matrix", "three_matrices", "whole_batch"])
+    def test_each_image_matches_its_solo_call(self, monkeypatch, block_bytes):
+        """Whatever shares its block, an image gets what it gets alone, bit for bit, its guard included."""
+        monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+        (q, k, v, g), _ = self._guarded((4,), 2, (1,), 1.01)
+        out, grads = self._run(q, k, v, g, 2)
+        for i in range(4):
+            solo, solo_grads = self._run(q[i], k[i], v[i], g[i], 2)
+            np.testing.assert_array_equal(out[i], solo)
+            for got, ref in zip(grads, solo_grads):
+                np.testing.assert_array_equal(got[i], ref)
+
     def test_untracked_forward_matches_tracked(self):
-        """Tracked or not, the op fills one image-sized block for the scores;
-        the untracked output is the recorded op's, bit for bit."""
-        q, k, v, _ = self._case((3, 2))
-        tracked = T.attention(*(Tensor(t, requires_grad=True) for t in (q, k, v)))
-        np.testing.assert_array_equal(T.attention(q, k, v).data, tracked.data)
+        """Tracked or not, the op runs the same blocks; the untracked output
+        is the recorded op's, bit for bit."""
+        q, k, v, _ = self._case((3,), 2)
+        tracked = T.attention(*(Tensor(t, requires_grad=True) for t in (q, k, v)), 2)
+        np.testing.assert_array_equal(T.attention(q, k, v, 2).data, tracked.data)
 
     def test_backward_keeps_no_score_array(self):
         """At stage-1 shapes the backward closure holds no T×S array: it
-        rebuilds each image's scores rather than keeping a whole-batch E."""
+        rebuilds each block's scores rather than keeping a whole-batch E."""
         rng = np.random.default_rng(17)
-        out = T.attention(*(Tensor(rng.standard_normal((8, 2, 256, 8)), requires_grad=True) for _ in range(3)))
+        out = T.attention(*(Tensor(rng.standard_normal((8, 256, 16)), requires_grad=True) for _ in range(3)), 2)
         held = [c.cell_contents for c in out._node._backward.__closure__]
         big = [a.shape for a in held if isinstance(a, np.ndarray) and a.size >= 256 * 256]
         assert big == []
 
     def test_shape_mismatch_names_all_shapes(self):
         with pytest.raises(ShapeError, match=r"\(4, 3\).*\(5, 2\).*\(5, 2\)"):
-            T.attention(Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 2))), Tensor(np.zeros((5, 2))))
+            T.attention(Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 2))), Tensor(np.zeros((5, 2))), 1)
+
+    @pytest.mark.parametrize("widths", [(5, 5, 4), (4, 4, 5)], ids=["key_width", "value_width"])
+    def test_indivisible_heads_rejected(self, widths):
+        dq, dk, dv = widths
+        with pytest.raises(ShapeError, match=r"H = 2 heads"):
+            T.attention(Tensor(np.zeros((3, dq))), Tensor(np.zeros((3, dk))), Tensor(np.zeros((3, dv))), 2)
 
 
 class TestAvgPool:
@@ -396,8 +466,8 @@ class TestDeadGradients:
         rng = np.random.default_rng(15)
         arrays = [rng.standard_normal((2, 5, 3)) for _ in range(3)]
         g = rng.standard_normal((2, 5, 3))
-        grads = T.attention(*(Tensor(a, requires_grad=bool(t)) for a, t in zip(arrays, tracked)))._node._backward(g)
-        live = T.attention(*(Tensor(a, requires_grad=True) for a in arrays))._node._backward(g)
+        grads = T.attention(*(Tensor(a, requires_grad=bool(t)) for a, t in zip(arrays, tracked)), 1)._node._backward(g)
+        live = T.attention(*(Tensor(a, requires_grad=True) for a in arrays), 1)._node._backward(g)
         for t, got, ref in zip(tracked, grads, live):
             if t:
                 np.testing.assert_array_equal(got, ref)
@@ -406,7 +476,7 @@ class TestDeadGradients:
 
     def test_attention_without_tracked_parent_records_nothing(self):
         rng = np.random.default_rng(16)
-        out = T.attention(*(Tensor(rng.standard_normal((2, 5, 3))) for _ in range(3)))
+        out = T.attention(*(Tensor(rng.standard_normal((2, 5, 3))) for _ in range(3)), 1)
         assert not out.requires_grad and out._parents == () and out._node is None
 
 
@@ -562,7 +632,7 @@ class TestForwardHygiene:
 
         def run():
             out = T.gelu(T.conv2d(Tensor(x), Tensor(w), stride=1, padding=1))
-            return T.log_softmax(out, axis=0).data.tobytes() + T.attention(out, out, out).data.tobytes()
+            return T.log_softmax(out, axis=0).data.tobytes() + T.attention(out, out, out, 2).data.tobytes()
 
         assert run() == run()
 
@@ -572,7 +642,7 @@ class TestForwardHygiene:
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((2, 4, 4)) * 100)
         ops = [
-            T.attention(x, x, x),
+            T.attention(x, x, x, 2),
             T.log_softmax(x, axis=0),
             T.relu(x),
             T.gelu(x),

@@ -468,7 +468,7 @@ class TestTrainStep:
 class TestTapeStructure:
     """Node counts and traced bytes of one default batch-8 step: counts, not timings."""
 
-    @pytest.mark.parametrize("kw, nodes, attention", [({}, 231, 4), (dict(beta=0.0, gamma=0.0), 121, 3)], ids=["full", "ce_only"])
+    @pytest.mark.parametrize("kw, nodes, attention", [({}, 195, 4), (dict(beta=0.0, gamma=0.0), 94, 3)], ids=["full", "ce_only"])
     def test_default_step_tape(self, kw, nodes, attention):
         # one attention node per ViT stage, plus HFD's borrowed ViT stage 2
         ops = [fn.__qualname__.split(".")[0] for fn in step_tape(**kw)[0]]
@@ -493,8 +493,10 @@ class TestTapeStructure:
         # the score GEMM and taking the row sums from the P·V GEMM left both
         # unchanged), one whose attention backward rebuilds each image's
         # scores instead of keeping a whole-batch E, 14.09 and 11.27, and the
-        # current step, whose conv2d backward rebuilds its column matrix from
-        # x and whose gelu backward rebuilds its tanh from v, 10.67 and 8.19
+        # one whose conv2d backward rebuilds its column matrix from x and
+        # whose gelu backward rebuilds its tanh from v, 10.67 and 8.19, and
+        # the current step, whose mixing step is one attention node that
+        # keeps [q, −m] in place of q and the shift, 10.56 and 8.07
         tcfg = TrainConfig(**kw)
         batch, state = generate_dataset(SynthSpec(), 8), make_train_state(ArchConfig(), tcfg)
         tracemalloc.start()
@@ -506,8 +508,9 @@ class TestTapeStructure:
         assert peak <= limit_mib * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_evaluate_peak_bytes(self):
-        # every attention call fills one image's score block: 2.97 MiB
-        # traced, against 9.81 when every chunk filled a whole-batch score
+        # every attention call fills score blocks of at most 128 KiB (or one
+        # matrix): 3.08 MiB traced, 2.97 when a block was one image's
+        # heads, against 9.81 when every chunk filled a whole-batch score
         # buffer
         acfg, batch = ArchConfig(), generate_dataset(SynthSpec(), 8)
         state = make_train_state(acfg, TrainConfig())
